@@ -33,7 +33,7 @@ pub const TRANSFER_PERMILLE: u64 = 500;
 /// take the rest.
 pub const AUDIT_PERMILLE: u64 = 10;
 /// Fixed arrival rates (requests per second), bracketing the knee of a
-/// 2-vCPU host (near 140k). The middle one is the nominal rate the
+/// 2-vCPU host (120k–140k). The middle one is the nominal rate the
 /// end-to-end metrics are measured at, well below the knee: nearer it
 /// the p99 amplifies every drift in host speed.
 pub const RATES: [f64; 5] = [10_000.0, 20_000.0, 40_000.0, 120_000.0, 240_000.0];

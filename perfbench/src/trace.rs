@@ -4,7 +4,8 @@
 //! benchmark calls a layer's public function and ends when it returns.
 //! Spans are kept in memory per thread (the first
 //! [`SPANS_PER_THREAD`] in full, all of them in per-name aggregates
-//! with self time) and written out once the run ends. With tracing off
+//! with self time) and written out once the run ends (at most
+//! [`SPANS_WRITTEN`] in full). With tracing off
 //! a span is a clock read on each side of the call, which the benchmark
 //! needs anyway for latencies.
 
@@ -17,6 +18,8 @@ use std::time::Instant;
 
 /// Spans kept in full per thread; later ones only feed the aggregates.
 pub const SPANS_PER_THREAD: usize = 16_384;
+/// Spans written out in full per run, first threads first.
+pub const SPANS_WRITTEN: usize = 32_768;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static COLLECTED: Mutex<Vec<ThreadTrace>> = Mutex::new(Vec::new());
@@ -175,13 +178,13 @@ pub fn aggregates() -> BTreeMap<&'static str, Agg> {
 pub fn to_json() -> String {
     let collected = COLLECTED.lock().expect("a thread panicked while flushing spans");
     let mut out = String::from("{\"spans\":[");
-    let mut first = true;
+    let mut written = 0;
     for (thread, t) in collected.iter().enumerate() {
-        for s in &t.spans {
-            if !first {
+        for s in t.spans.iter().take(SPANS_WRITTEN - written) {
+            if written > 0 {
                 out.push(',');
             }
-            first = false;
+            written += 1;
             let _ = write!(
                 out,
                 "\n{{\"thread\":{thread},\"id\":{},\"parent\":{},\"name\":\"{}\",\"req\":{},\"start_ns\":{},\"dur_ns\":{}}}",
@@ -189,7 +192,8 @@ pub fn to_json() -> String {
             );
         }
     }
-    let dropped: u64 = collected.iter().map(|t| t.dropped).sum();
+    let kept: usize = collected.iter().map(|t| t.spans.len()).sum();
+    let dropped = collected.iter().map(|t| t.dropped).sum::<u64>() + (kept - written) as u64;
     drop(collected);
     let _ = write!(out, "\n],\"spans_not_kept\":{dropped},\"layers\":{{");
     for (i, (name, a)) in aggregates().iter().enumerate() {
