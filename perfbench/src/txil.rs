@@ -30,10 +30,13 @@ pub const LEVEL: OptLevel = OptLevel::O4;
 /// Per program, the smallest argument; a run draws one of the next
 /// [`ARG_CHOICES`] values.
 pub const ARG_BASE: [i64; 4] = [5, 40, 4, 50];
-/// Distinct arguments per program.
-pub const ARG_CHOICES: i64 = 8;
+/// Distinct arguments per program. Odd, so that the write runs fall
+/// into an odd number of equally likely (program, argument) groups and
+/// each median lands inside one group rather than on the gap between
+/// two, where it would jump between them from run to run.
+pub const ARG_CHOICES: i64 = 7;
 /// Compilations per run; `setup_s` is their median.
-const SETUP_REPS: usize = 15;
+const SETUP_REPS: usize = 51;
 /// Passes per backend when pricing the STM against sequential runs.
 const SHARE_REPS: usize = 5;
 
