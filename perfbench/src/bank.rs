@@ -16,6 +16,7 @@ use std::time::{Duration, Instant};
 use omt_server::{Request, Response, Service, ServiceConfig, ServiceError, Session};
 use omt_util::rng::{StdRng, Zipf};
 
+use crate::probe::Probe;
 use crate::stats::{median, ratio, Hist};
 use crate::{sub_seed, trace, Opts, Report, Window};
 
@@ -45,6 +46,15 @@ pub const SLO_LIMIT_US: f64 = 1_000.0;
 const SESSIONS: usize = 64;
 /// Service builds per run; `setup_s` is their median.
 const SETUP_REPS: usize = 51;
+/// Probe chunks before each service build.
+const SETUP_PROBES: usize = 4;
+/// Shortest time between two probe chunks of one generator. A chunk
+/// evicts part of the caches and slows the request after it; one in
+/// every 2 ms would slow one request in 40, inside the p99.
+const PROBE_GAP: Duration = Duration::from_millis(50);
+/// A generator runs a probe chunk only while waiting for an arrival at
+/// least this far off, so that the chunk (about 20 us) ends before it.
+const PROBE_SLACK: Duration = Duration::from_micros(100);
 /// The per-request deadline. The default 10 ms is shorter than the
 /// stalls a shared virtual machine can give a vCPU (tens of ms), and a
 /// benchmark request must not fail because of the host.
@@ -203,12 +213,23 @@ impl Tally {
     }
 }
 
-/// Waits until `deadline` by spinning. Sleeping would let the vCPU go
-/// idle, and waking an idle vCPU can take milliseconds on a virtual
-/// machine, which would be charged to the request as latency.
-fn pace_until(deadline: Instant) {
-    while Instant::now() < deadline {
-        std::hint::spin_loop();
+/// Waits until `deadline` by spinning, and runs a probe chunk into
+/// `chunks` while the wait is long enough for one and `next_probe` has
+/// passed. Sleeping would let the vCPU go idle, and waking an idle vCPU
+/// can take milliseconds on a virtual machine, which would be charged to
+/// the request as latency.
+fn pace_until(deadline: Instant, probe: &mut Probe, next_probe: &mut Instant, chunks: &mut Hist) {
+    loop {
+        let now = Instant::now();
+        if now >= deadline {
+            return;
+        }
+        if now >= *next_probe && deadline - now >= PROBE_SLACK {
+            chunks.record(probe.chunk());
+            *next_probe = now + PROBE_GAP;
+        } else {
+            std::hint::spin_loop();
+        }
     }
 }
 
@@ -217,6 +238,7 @@ fn generate(
     arrivals: Arrivals<'_>,
     start: Instant,
     length: Duration,
+    probe: &mut Probe,
 ) -> Tally {
     let mut t = Tally::default();
     let sub_ns = SUBWINDOW.as_nanos() as u64;
@@ -230,15 +252,16 @@ fn generate(
     let mut sessions: Vec<Session> = (0..SESSIONS).map(|_| service.session()).collect();
     let expected = service.expected_total();
     let cutoff = start + length + GRACE;
+    let (mut next_probe, mut chunks) = (start, Hist::default());
     for (k, (due_ns, request)) in arrivals.enumerate() {
         if due_ns >= length_ns {
             break;
         }
         t.offered += 1;
         let due = start + Duration::from_nanos(due_ns);
-        pace_until(due);
-        let began = Instant::now();
         let sub = (due_ns / sub_ns) as usize;
+        pace_until(due, probe, &mut next_probe, &mut chunks);
+        let began = Instant::now();
         if began >= cutoff {
             t.backlogged += 1;
             t.windows[sub].1.record((began - due).as_nanos() as u64);
@@ -284,6 +307,11 @@ fn generate(
             }
         }
     }
+    // Too few chunks fall in one sub-window to price it, so each carries
+    // every chunk of its window.
+    for (w, _) in &mut t.windows {
+        w.probe = chunks.clone();
+    }
     t
 }
 
@@ -307,6 +335,8 @@ struct Load {
     seed: u64,
     zipf: Zipf,
     windows: usize,
+    /// One per generator.
+    probes: Vec<Probe>,
 }
 
 impl Load {
@@ -317,11 +347,11 @@ impl Load {
         let start = Instant::now() + Duration::from_millis(1);
         let (service, seed, zipf) = (&self.service, self.seed, &self.zipf);
         let parts: Vec<Tally> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..GENERATORS)
-                .map(|g| {
+            let handles: Vec<_> = (self.probes.iter_mut().enumerate())
+                .map(|(g, probe)| {
                     let arrivals = Arrivals::new(seed, w, g, rate, zipf);
                     scope.spawn(move || {
-                        let t = generate(service, arrivals, start, length);
+                        let t = generate(service, arrivals, start, length, probe);
                         trace::flush();
                         t
                     })
@@ -362,15 +392,19 @@ pub fn run(opts: &Opts) -> Report {
     let config = config();
     let mut setups = Vec::new();
     let mut service = None;
+    let mut probes: Vec<Probe> = (0..GENERATORS).map(|_| Probe::default()).collect();
+    let mut setup_probes = Hist::default();
     for _ in 0..SETUP_REPS {
         drop(service.take());
+        probes[0].chunks(SETUP_PROBES, &mut setup_probes);
         let (s, ns) = trace::timed("server.Service::new", 0, || Service::new(config));
         setups.push(ns as f64 / 1e9);
         service = Some(s);
     }
     let service = service.expect("at least one setup ran");
     trace::set_enabled(false);
-    let mut load = Load { service, seed: opts.seed, zipf: Zipf::new(ACCOUNTS, ZIPF_S), windows: 0 };
+    let mut load =
+        Load { service, seed: opts.seed, zipf: Zipf::new(ACCOUNTS, ZIPF_S), windows: 0, probes };
 
     // An untraced run spends all its time at the nominal rate. A traced
     // run spends half of it there, in windows of which every other one
@@ -438,8 +472,10 @@ pub fn run(opts: &Opts) -> Report {
         report.windows(&windows);
         // Goodput follows the offered rate, so the median over
         // sub-windows would only round it to whole requests per window.
+        // It is also not scaled by host speed: a faster host serves the
+        // same arrivals.
         report.set("throughput_ops_s", pooled.throughput());
-        report.set("setup_s", median(&setups));
+        report.setup(&setups, &setup_probes);
         return report;
     }
 
@@ -454,6 +490,7 @@ pub fn run(opts: &Opts) -> Report {
     report.set("server.admit_ratio", 1.0 - ratio(sheds, pooled.attempted as f64));
     let per_call = |(ns, n): (u64, u64)| ratio(ns as f64, n as f64);
     report.set("trace.overhead_ratio", per_call(calls[1]) / per_call(calls[0]) - 1.0);
+    report.probe(&windows);
     if let Some(a) = trace::aggregates().get("server.Session::call") {
         report.set("server.busy_ms", a.self_ns as f64 / 1e6);
     }

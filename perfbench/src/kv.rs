@@ -14,8 +14,9 @@ use std::time::{Duration, Instant};
 use omt_server::{KvConfig, KvError, KvRequest, KvResponse, KvStore};
 use omt_util::rng::{StdRng, Zipf};
 
-use crate::stats::{median, ratio};
-use crate::{sub_seed, subwindows, trace, trace_overhead, Opts, Report, Window};
+use crate::probe::Probe;
+use crate::stats::{median, ratio, Hist};
+use crate::{probe, sub_seed, subwindows, trace, trace_overhead, Opts, Report, Window};
 
 /// Keys in the keyspace.
 pub const KEYS: usize = 65_536;
@@ -43,6 +44,12 @@ const STREAM_LEN: usize = 1 << 20;
 const WARMUP_MAX_S: f64 = 8.0;
 /// Store builds per run; `setup_s` is their median.
 const SETUP_REPS: usize = 9;
+/// Probe chunks before each store build.
+const SETUP_PROBES: usize = 4;
+/// Requests between two probe chunks (about 10 ms). A chunk evicts
+/// part of the caches and slows the request after it, so chunks stay
+/// rarer than one request in a thousand.
+const PROBE_EVERY: usize = 4096;
 /// The per-request deadline. The default 10 ms is shorter than the
 /// stalls a shared virtual machine can give a vCPU (tens of ms), and a
 /// benchmark request must not fail because of the host.
@@ -198,10 +205,16 @@ fn client(kv: &KvStore, stream: &[u32], c: usize, phase: &AtomicUsize, windows: 
     let mut t = Tally::default();
     t.windows.resize_with(windows + 1, Default::default);
     let mut i = 0usize;
+    let mut probe = Probe::default();
     loop {
         let w = phase.load(Ordering::Acquire);
         if w > windows {
             break;
+        }
+        if i.is_multiple_of(PROBE_EVERY) {
+            let ns = probe.chunk();
+            t.windows[w].probe.record(ns);
+            t.windows[w].paused_secs += ns as f64 / 1e9;
         }
         let req = request(stream[i % stream.len()], c);
         let seq = i as u64;
@@ -268,8 +281,10 @@ pub fn run(opts: &Opts) -> Report {
     let mut setups = Vec::new();
     let mut prefills = Vec::new();
     let mut store = None;
+    let (mut probe, mut setup_probes) = (Probe::default(), Hist::default());
     for _ in 0..SETUP_REPS {
         drop(store.take());
+        probe.chunks(SETUP_PROBES, &mut setup_probes);
         let ((kv, prefill_s), ns) =
             trace::timed("setup.kv", 0, || build(&inputs.prefill, &mut report));
         setups.push(ns as f64 / 1e9);
@@ -279,6 +294,7 @@ pub fn run(opts: &Opts) -> Report {
     let kv = store.expect("at least one setup ran");
     trace::set_enabled(false);
 
+    let rss_before = crate::rss_mb();
     let windows = subwindows(opts);
     let warmup = Duration::from_secs_f64((opts.seconds / 4.0).clamp(0.05, WARMUP_MAX_S));
     let mut stm_marks = Vec::new();
@@ -331,7 +347,12 @@ pub fn run(opts: &Opts) -> Report {
         .collect();
     if !opts.trace {
         report.windows(&measured);
-        report.set("setup_s", median(&setups));
+        report.setup(&setups, &setup_probes);
+        // A deleted node is never freed, so the store grows with the
+        // requests it serves, and so with host speed: its growth since the
+        // set-up is scaled like the throughput.
+        let speed = probe::speed(&Window::pooled(&measured).probe);
+        report.set("peak_rss_mb", rss_before + (crate::peak_rss_mb() - rss_before) / speed);
         return report;
     }
 
@@ -342,6 +363,7 @@ pub fn run(opts: &Opts) -> Report {
     report.tail("read", &all.reads);
     report.tail("write", &all.writes);
     report.set("trace.overhead_ratio", trace_overhead(&measured, &windows));
+    report.probe(&measured);
     let last = windows.len();
     report.stm_delta(&stm_marks[last].delta_since(&stm_marks[0]));
     let (l0, l1) = (lock_marks[0], lock_marks[last]);

@@ -8,8 +8,9 @@
 //!
 //! A run measures for a fixed number of seconds, checks every output,
 //! and ends with one JSON line: the end-to-end metrics of
-//! [`END_TO_END`] without tracing, or the per-layer metrics of
-//! [`PER_LAYER`] from a traced run. `README.md` beside this crate says
+//! [`END_TO_END`] without tracing, scaled to a reference host speed by
+//! the [`probe`], or the per-layer metrics of [`PER_LAYER`] from a
+//! traced run. `README.md` beside this crate says
 //! why each workload exists and which layer metric should move which
 //! end-to-end metric.
 
@@ -22,6 +23,7 @@ use stats::{median, Hist};
 pub mod bank;
 pub mod kv;
 pub mod ladder;
+pub mod probe;
 pub mod stats;
 pub mod trace;
 pub mod txil;
@@ -134,6 +136,7 @@ pub const PER_LAYER: &[(&str, &str)] = &[
     ("loadgen.p99_us.rate4", "us"),
     ("loadgen.p99_us.rate5", "us"),
     ("trace.overhead_ratio", "ratio"),
+    ("host.probe_chunk_us", "us"),
 ];
 
 /// How one run is asked to behave.
@@ -211,17 +214,48 @@ impl Report {
     }
 
     /// Sets the end-to-end throughput and latencies of an untraced run
-    /// as medians over its measured sub-windows, so that a stretch of
-    /// unusual host speed or a scheduling stall shorter than half the run
-    /// cannot move them. Also sets the attempted and failed counts.
+    /// as medians over its measured sub-windows, each scaled to the
+    /// reference host by the probe chunks run in it (see [`probe`]), so
+    /// that neither a stretch of unusual host speed nor a scheduling stall
+    /// shorter than half the run can move them. Notes the unscaled
+    /// medians, and sets the attempted and failed counts.
     pub fn windows(&mut self, windows: &[Window]) {
+        let fallback = probe::speed(&Window::pooled(windows).probe);
+        let speed =
+            |w: &Window| if w.probe.count() == 0 { fallback } else { probe::speed(&w.probe) };
         let med = |f: &dyn Fn(&Window) -> f64| median(&windows.iter().map(f).collect::<Vec<_>>());
-        self.set("throughput_ops_s", med(&|w| w.throughput()));
-        self.set("read_p50_us", med(&|w| w.reads.quantile(0.5) / 1e3));
-        self.set("read_p99_us", med(&|w| w.reads.quantile(0.99) / 1e3));
-        self.set("write_p50_us", med(&|w| w.writes.quantile(0.5) / 1e3));
-        self.set("write_p99_us", med(&|w| w.writes.quantile(0.99) / 1e3));
+        let figures: [(&'static str, Figure); 5] = [
+            ("throughput_ops_s", Window::throughput),
+            ("read_p50_us", |w| w.reads.quantile(0.5) / 1e3),
+            ("read_p99_us", |w| w.reads.quantile(0.99) / 1e3),
+            ("write_p50_us", |w| w.writes.quantile(0.5) / 1e3),
+            ("write_p99_us", |w| w.writes.quantile(0.99) / 1e3),
+        ];
+        let mut unscaled = Vec::new();
+        for (name, figure) in figures {
+            // A rate falls as the host slows down; a time rises.
+            let rate = name == "throughput_ops_s";
+            let scale = |w: &Window| if rate { 1.0 / speed(w) } else { speed(w) };
+            self.set(name, med(&|w| figure(w) * scale(w)));
+            unscaled.push(format!("{name} {:.4}", med(&|w| figure(w))));
+        }
+        self.notes.push(format!(
+            "unscaled: {}; host speed {fallback:.4} of the reference",
+            unscaled.join(", ")
+        ));
         self.counts(windows);
+    }
+
+    /// Sets `setup_s`: the median of `setups` (seconds), scaled to the
+    /// reference host by the probe chunks run between them.
+    pub fn setup(&mut self, setups: &[f64], chunks: &Hist) {
+        let speed = probe::speed(chunks);
+        self.notes.push(format!(
+            "set-up: median {:.6} s unscaled over {} set-ups, host speed {speed:.4}",
+            median(setups),
+            setups.len()
+        ));
+        self.set("setup_s", median(setups) * speed);
     }
 
     /// Adds the attempted and failed counts of `windows`, and notes
@@ -297,6 +331,11 @@ impl Report {
         self.set("baseline.orec_2r2w_ns", orec_rw);
     }
 
+    /// Sets the probe's median chunk time over `windows` (traced run).
+    pub fn probe(&mut self, windows: &[Window]) {
+        self.set("host.probe_chunk_us", Window::pooled(windows).probe.quantile(0.5) / 1e3);
+    }
+
     /// Sets the failure metrics of the traced run.
     pub fn failures(&mut self) {
         self.set("failed_ratio", stats::ratio(self.failed.total() as f64, self.attempted as f64));
@@ -305,6 +344,9 @@ impl Report {
         self.set("failed.retry_exhausted", self.failed.retry_exhausted as f64);
     }
 }
+
+/// A figure read off one sub-window.
+type Figure = fn(&Window) -> f64;
 
 /// Requests of one measured sub-window.
 #[derive(Debug, Default, Clone)]
@@ -321,6 +363,11 @@ pub struct Window {
     pub failed: Failures,
     /// Length of the sub-window in seconds.
     pub secs: f64,
+    /// Nanoseconds of each probe chunk run in the sub-window.
+    pub probe: Hist,
+    /// Seconds of the sub-window a closed loop of one client spent on
+    /// probe chunks instead of requests.
+    pub paused_secs: f64,
 }
 
 impl Window {
@@ -331,6 +378,8 @@ impl Window {
         self.completed += other.completed;
         self.attempted += other.attempted;
         self.failed.add(&other.failed);
+        self.probe.merge(&other.probe);
+        self.paused_secs += other.paused_secs;
     }
 
     /// All of `windows` as one, their lengths summed.
@@ -343,9 +392,9 @@ impl Window {
         out
     }
 
-    /// Completed requests per second.
+    /// Completed requests per second spent on requests.
     pub fn throughput(&self) -> f64 {
-        stats::ratio(self.completed as f64, self.secs)
+        stats::ratio(self.completed as f64, self.secs - self.paused_secs)
     }
 }
 
@@ -395,7 +444,7 @@ pub fn run(workload: &str, opts: &Opts) -> Option<Report> {
             Err(e) => report.notes.push(format!("spans not written: {e}")),
         }
     } else {
-        report.set("peak_rss_mb", peak_rss_mb());
+        report.metrics.entry("peak_rss_mb").or_insert_with(peak_rss_mb);
     }
     Some(report)
 }
@@ -475,11 +524,21 @@ pub fn git_sha() -> String {
 /// The process's high-water resident memory in MB (`VmHWM`); 0 where
 /// `/proc` is unavailable.
 pub fn peak_rss_mb() -> f64 {
+    status_mb("VmHWM:")
+}
+
+/// The process's resident memory in MB (`VmRSS`); 0 where `/proc` is
+/// unavailable.
+pub fn rss_mb() -> f64 {
+    status_mb("VmRSS:")
+}
+
+fn status_mb(field: &str) -> f64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|s| {
             s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
+                .find(|l| l.starts_with(field))
                 .and_then(|l| l.split_whitespace().nth(1).and_then(|kb| kb.parse::<f64>().ok()))
         })
         .map_or(0.0, |kb| kb / 1024.0)

@@ -20,7 +20,8 @@ use omt_stm::StmConfig;
 use omt_util::rng::StdRng;
 use omt_vm::{BackendKind, SyncBackend, Vm, VmCountersSnapshot};
 
-use crate::stats::{median, ratio};
+use crate::probe::Probe;
+use crate::stats::{median, ratio, Hist};
 use crate::{sub_seed, subwindows, trace, trace_overhead, Opts, Report, Window};
 
 /// The programs, in `omt_bench::programs::txil_benchmarks` order.
@@ -37,6 +38,10 @@ pub const ARG_BASE: [i64; 4] = [5, 40, 4, 50];
 pub const ARG_CHOICES: i64 = 7;
 /// Compilations per run; `setup_s` is their median.
 const SETUP_REPS: usize = 51;
+/// Probe chunks before each compilation.
+const SETUP_PROBES: usize = 4;
+/// Program runs between two probe chunks (about 10 ms).
+const PROBE_EVERY: u64 = 64;
 /// Passes per backend when pricing the STM against sequential runs.
 const SHARE_REPS: usize = 5;
 
@@ -165,7 +170,7 @@ fn reference_pass(suite: &Suite) -> Result<u64, String> {
 #[derive(Default)]
 struct Tally {
     window: Window,
-    per_program: [Vec<f64>; 4],
+    per_program: [Hist; 4],
     live_max: u64,
 }
 
@@ -182,8 +187,10 @@ pub fn run(opts: &Opts) -> Report {
     let mut setups = Vec::new();
     let mut compile_times = Vec::new();
     let mut built = None;
+    let (mut probe, mut setup_probes) = (Probe::default(), Hist::default());
     for _ in 0..SETUP_REPS {
         drop(built.take());
+        probe.chunks(SETUP_PROBES, &mut setup_probes);
         let start = Instant::now();
         let mut times = CompileTimes::default();
         let compiled = compile(&mut times);
@@ -243,7 +250,7 @@ pub fn run(opts: &Opts) -> Report {
             t.window.attempted += 1;
             t.window.completed += 1;
             t.live_max = t.live_max.max(live);
-            t.per_program[p].push(ns as f64 / 1e6);
+            t.per_program[p].record(ns);
             if p == 0 { &mut t.window.reads } else { &mut t.window.writes }.record(ns);
         }
         Ok(())
@@ -266,6 +273,11 @@ pub fn run(opts: &Opts) -> Report {
         let start = Instant::now();
         let end = start + length;
         while failures.is_empty() && Instant::now() < end {
+            if t.window.attempted.is_multiple_of(PROBE_EVERY) {
+                let ns = probe.chunk();
+                t.window.probe.record(ns);
+                t.window.paused_secs += ns as f64 / 1e9;
+            }
             if let Err(e) = step(Some(&mut t)) {
                 failures.push(e);
             }
@@ -282,7 +294,7 @@ pub fn run(opts: &Opts) -> Report {
     let measured: Vec<Window> = tallies.iter().map(|t| t.window.clone()).collect();
     if !opts.trace {
         report.windows(&measured);
-        report.set("setup_s", median(&setups));
+        report.setup(&setups, &setup_probes);
         return report;
     }
 
@@ -293,6 +305,7 @@ pub fn run(opts: &Opts) -> Report {
     report.tail("read", &all.reads);
     report.tail("write", &all.writes);
     report.set("trace.overhead_ratio", trace_overhead(&measured, &windows));
+    report.probe(&measured);
     let med =
         |f: fn(&CompileTimes) -> f64| median(&compile_times.iter().map(f).collect::<Vec<_>>());
     report.set("lang.parse_us", med(|c| c.parse));
@@ -313,9 +326,11 @@ pub fn run(opts: &Opts) -> Report {
     .into_iter()
     .enumerate()
     {
-        let runs: Vec<f64> =
-            tallies.iter().flat_map(|t| t.per_program[p].iter().copied()).collect();
-        report.set(name, median(&runs));
+        let mut runs = Hist::default();
+        for t in &tallies {
+            runs.merge(&t.per_program[p]);
+        }
+        report.set(name, runs.quantile(0.5) / 1e6);
     }
 
     // Dynamic counts of one reference pass repeat exactly.
