@@ -187,6 +187,16 @@ impl ClassRegistry {
         self.inner.read().classes[id.index()].clone()
     }
 
+    /// Number of fields of class `id`, read without cloning its
+    /// descriptor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to this registry.
+    pub fn field_count(&self, id: ClassId) -> usize {
+        self.inner.read().classes[id.index()].field_count()
+    }
+
     /// Looks a class up by name.
     pub fn lookup(&self, name: &str) -> Option<ClassId> {
         self.inner.read().by_name.get(name).copied()

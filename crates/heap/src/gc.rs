@@ -159,8 +159,7 @@ impl Heap {
                     return;
                 }
                 let slot = r.slot();
-                let bit = self.mark_bit(slot);
-                if !bit.swap(true, std::sync::atomic::Ordering::Relaxed) {
+                if self.mark(slot) {
                     worklist.push(slot);
                 }
             };
@@ -182,8 +181,7 @@ impl Heap {
                     continue;
                 }
                 let child = r.slot();
-                let bit = self.mark_bit(child);
-                if !bit.swap(true, std::sync::atomic::Ordering::Relaxed) {
+                if self.mark(child) {
                     worklist.push(child);
                 }
             }
@@ -195,9 +193,7 @@ impl Heap {
         // interleaved there can still validate a not-yet-trimmed entry
         // against an intact — merely condemned — object. Freeing first
         // would put a dangling slot behind that entry.
-        let is_live = |r: ObjRef| {
-            self.is_valid(r) && self.mark_bit(r.slot()).load(std::sync::atomic::Ordering::Relaxed)
-        };
+        let is_live = |r: ObjRef| self.is_valid(r) && self.is_marked(r.slot());
         for p in participants {
             p.after_sweep(&is_live);
         }
@@ -208,8 +204,7 @@ impl Heap {
                 if !self.slot_live(slot) {
                     continue;
                 }
-                let bit = self.mark_bit(slot);
-                if bit.swap(false, std::sync::atomic::Ordering::Relaxed) {
+                if self.take_mark(slot) {
                     continue; // survivor; mark bit cleared for next cycle
                 }
                 let field_count = self.object_fields(slot).len();

@@ -19,7 +19,9 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::marker::PhantomData;
+use std::ptr::NonNull;
+use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 use omt_util::sync::Mutex;
 
@@ -46,39 +48,121 @@ impl fmt::Display for HeapFullError {
 
 impl std::error::Error for HeapFullError {}
 
-/// One heap object. Stable address for the lifetime of the heap.
+/// Largest field count an object can have: the count is stored in 16
+/// bits of the object's prefix.
+pub const MAX_FIELDS: usize = u16::MAX as usize;
+
+/// `Object::flags` bit: the slot holds a live object.
+const LIVE: u8 = 1;
+/// `Object::flags` bit: the collector reached the object this cycle.
+const MARKED: u8 = 2;
+
+/// The 16-byte prefix of one heap object. Its fields follow inline in
+/// the same allocation, `len` tagged words starting right after the
+/// prefix, so the STM header word shares a cache line with the first
+/// fields and an object costs one allocation. The allocation has a
+/// stable address for the lifetime of the heap; it is reached only
+/// through [`ObjPtr`], which derives field pointers from the raw
+/// allocation pointer.
+#[repr(C)]
 pub(crate) struct Object {
     /// The STM word: version number or ownership pointer (see `omt-stm`).
     /// `0` encodes "version 0, quiescent".
     header: AtomicU64,
     class: AtomicU32,
+    /// Field count. Fixed for the slot's lifetime: a swept slot is
+    /// recycled only for an object of the same size.
+    len: u16,
     generation: AtomicU8,
-    live: AtomicBool,
-    marked: AtomicBool,
-    fields: Box<[AtomicU64]>,
+    /// [`LIVE`] and [`MARKED`].
+    flags: AtomicU8,
 }
 
-impl Object {
-    fn new(class: ClassId, field_count: usize) -> Object {
-        let fields = (0..field_count).map(|_| AtomicU64::new(0)).collect();
-        Object {
+/// Bytes before an object's first field.
+const PREFIX_BYTES: usize = std::mem::size_of::<Object>();
+const _: () = assert!(PREFIX_BYTES == 16 && std::mem::align_of::<Object>() == 8);
+
+/// Layout of an object with `len` fields: the prefix, then the fields.
+fn object_layout(len: usize) -> std::alloc::Layout {
+    std::alloc::Layout::from_size_align(
+        PREFIX_BYTES + len * std::mem::size_of::<AtomicU64>(),
+        std::mem::align_of::<Object>(),
+    )
+    .expect("at most MAX_FIELDS fields fit a layout")
+}
+
+/// Allocates a live, zero-initialized object of `class` with `len`
+/// fields: header version 0, every field scalar 0, generation 0.
+fn new_object(class: ClassId, len: u16) -> *mut Object {
+    let layout = object_layout(usize::from(len));
+    // SAFETY: the layout has a non-zero size (the prefix alone is 16
+    // bytes). Zeroed memory is a valid value for every field word (an
+    // `AtomicU64` of scalar 0), and the prefix is written in full
+    // below before the pointer escapes.
+    unsafe {
+        let obj = std::alloc::alloc_zeroed(layout).cast::<Object>();
+        if obj.is_null() {
+            std::alloc::handle_alloc_error(layout);
+        }
+        obj.write(Object {
             header: AtomicU64::new(0),
             class: AtomicU32::new(class.0),
+            len,
             generation: AtomicU8::new(0),
-            live: AtomicBool::new(true),
-            marked: AtomicBool::new(false),
-            fields,
+            flags: AtomicU8::new(LIVE),
+        });
+        obj
+    }
+}
+
+/// A published object, borrowed from the heap that owns it.
+#[derive(Clone, Copy)]
+pub(crate) struct ObjPtr<'h> {
+    ptr: NonNull<Object>,
+    _heap: PhantomData<&'h Heap>,
+}
+
+impl<'h> ObjPtr<'h> {
+    /// The object's prefix.
+    fn meta(self) -> &'h Object {
+        // SAFETY: `ptr` came from `new_object` and was published in the
+        // slot table; objects are freed only when the heap drops, which
+        // the `'h` borrow rules out. The prefix is only mutated through
+        // atomics (`len` is written once, before publication).
+        unsafe { self.ptr.as_ref() }
+    }
+
+    /// The object's fields.
+    fn fields(self) -> &'h [AtomicU64] {
+        let len = usize::from(self.meta().len);
+        // SAFETY: the allocation holds `len` initialized field words
+        // right after the 16-byte prefix (see `object_layout`), 8-byte
+        // aligned. The pointer is derived from the allocation pointer
+        // itself, not from a reference to the prefix, so its provenance
+        // covers the fields. They live as long as the object (see
+        // `meta`) and are only accessed through atomics.
+        unsafe {
+            let first = self.ptr.as_ptr().cast::<u8>().add(PREFIX_BYTES).cast::<AtomicU64>();
+            std::slice::from_raw_parts(first, len)
         }
     }
 
-    fn reset_for_reuse(&self, class: ClassId) {
-        self.header.store(0, Ordering::Relaxed);
-        self.class.store(class.0, Ordering::Relaxed);
-        for f in self.fields.iter() {
+    /// True if the slot holds a live object of generation `generation`.
+    fn is_live_at(self, generation: u8) -> bool {
+        let meta = self.meta();
+        meta.generation.load(Ordering::Relaxed) == generation
+            && meta.flags.load(Ordering::Acquire) & LIVE != 0
+    }
+
+    fn reset_for_reuse(self, class: ClassId) {
+        let meta = self.meta();
+        meta.header.store(0, Ordering::Relaxed);
+        meta.class.store(class.0, Ordering::Relaxed);
+        for f in self.fields() {
             f.store(0, Ordering::Relaxed);
         }
-        self.marked.store(false, Ordering::Relaxed);
-        self.live.store(true, Ordering::Release);
+        // Live again, with the mark bit clear.
+        meta.flags.store(LIVE, Ordering::Release);
     }
 }
 
@@ -113,6 +197,33 @@ struct AllocState {
     free: HashMap<usize, Vec<u32>>,
     /// Number of chunks created so far.
     chunk_count: usize,
+    /// Field count per class id, filled from the class registry on the
+    /// first allocation of each class, so `alloc` reads it under the
+    /// lock it already holds.
+    field_counts: Vec<Option<u16>>,
+}
+
+impl AllocState {
+    /// Field count of `class`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `class` has more than [`MAX_FIELDS`] fields.
+    fn field_count(&mut self, classes: &ClassRegistry, class: ClassId) -> u16 {
+        let index = class.index();
+        if let Some(Some(count)) = self.field_counts.get(index) {
+            return *count;
+        }
+        let count = classes.field_count(class);
+        let count = u16::try_from(count).unwrap_or_else(|_| {
+            panic!("class {class:?} has {count} fields; an object holds at most {MAX_FIELDS}")
+        });
+        if self.field_counts.len() <= index {
+            self.field_counts.resize(index + 1, None);
+        }
+        self.field_counts[index] = Some(count);
+        count
+    }
 }
 
 /// The managed heap. See the [crate documentation](crate) for the
@@ -139,9 +250,14 @@ pub struct Heap {
     stats: HeapStats,
 }
 
-// SAFETY: all shared mutation goes through atomics; the raw pointers in
-// the chunk table refer to storage that lives until the heap is dropped.
+// SAFETY: the chunk table holds raw pointers to chunks and objects that
+// live until the heap is dropped and are freed only by `Drop`, which has
+// exclusive access. Every shared mutation of a chunk or an object goes
+// through atomics; an object's one plain field, `len`, is written before
+// the object is published by a release store and never again. The
+// allocator state and class registry sit behind their own locks.
 unsafe impl Send for Heap {}
+// SAFETY: as for `Send`.
 unsafe impl Sync for Heap {}
 
 impl Default for Heap {
@@ -160,6 +276,7 @@ impl Heap {
                 next_fresh: 0,
                 free: HashMap::new(),
                 chunk_count: 0,
+                field_counts: Vec::new(),
             }),
             classes: ClassRegistry::new(),
             stats: HeapStats::new(),
@@ -189,15 +306,19 @@ impl Heap {
     /// # Errors
     ///
     /// Returns [`HeapFullError`] if the slot table is exhausted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `class` has more than [`MAX_FIELDS`] fields.
     pub fn alloc(&self, class: ClassId) -> Result<ObjRef, HeapFullError> {
-        let field_count = self.classes.get(class).field_count();
         let mut state = self.alloc_state.lock();
+        let field_count = state.field_count(&self.classes, class);
 
-        if let Some(slot) = state.free.get_mut(&field_count).and_then(Vec::pop) {
+        if let Some(slot) = state.free.get_mut(&usize::from(field_count)).and_then(Vec::pop) {
             drop(state);
             let obj = self.object(slot);
             obj.reset_for_reuse(class);
-            let generation = obj.generation.load(Ordering::Relaxed);
+            let generation = obj.meta().generation.load(Ordering::Relaxed);
             self.stats.record_reuse();
             return Ok(ObjRef::from_parts(slot, generation));
         }
@@ -214,10 +335,11 @@ impl Heap {
             state.chunk_count += 1;
         }
 
-        let obj = Box::into_raw(Box::new(Object::new(class, field_count)));
+        let obj = new_object(class, field_count);
         let chunk = self.chunk_table[chunk_index].load(Ordering::Relaxed);
         // SAFETY: the chunk was just ensured non-null and chunks are never
-        // freed before the heap drops.
+        // freed before the heap drops. The release store publishes the
+        // fully initialized object.
         unsafe {
             (*chunk)[(slot & (CHUNK_SIZE as u32 - 1)) as usize].store(obj, Ordering::Release);
         }
@@ -231,54 +353,43 @@ impl Heap {
     /// # Panics
     ///
     /// Panics if the slot was never allocated.
-    pub(crate) fn object(&self, slot: u32) -> &Object {
-        let chunk_index = (slot >> CHUNK_BITS) as usize;
-        let chunk = self.chunk_table[chunk_index].load(Ordering::Acquire);
+    pub(crate) fn object(&self, slot: u32) -> ObjPtr<'_> {
+        let chunk = self.chunk_table[(slot >> CHUNK_BITS) as usize].load(Ordering::Acquire);
         assert!(!chunk.is_null(), "object slot {slot} beyond allocated chunks");
-        // SAFETY: chunks are immortal until the heap drops.
+        // SAFETY: as in `try_object`.
         let obj =
             unsafe { (*chunk)[(slot & (CHUNK_SIZE as u32 - 1)) as usize].load(Ordering::Acquire) };
-        assert!(!obj.is_null(), "object slot {slot} never allocated");
-        // SAFETY: object boxes are immortal until the heap drops.
-        unsafe { &*obj }
+        let ptr = NonNull::new(obj).unwrap_or_else(|| panic!("object slot {slot} never allocated"));
+        ObjPtr { ptr, _heap: PhantomData }
     }
 
-    fn try_object(&self, slot: u32) -> Option<&Object> {
+    fn try_object(&self, slot: u32) -> Option<ObjPtr<'_>> {
         let chunk_index = (slot >> CHUNK_BITS) as usize;
         let chunk = self.chunk_table[chunk_index].load(Ordering::Acquire);
         if chunk.is_null() {
             return None;
         }
-        // SAFETY: as in `object`.
+        // SAFETY: a non-null chunk pointer was published by `alloc` and
+        // chunks are freed only when the heap drops.
         let obj =
             unsafe { (*chunk)[(slot & (CHUNK_SIZE as u32 - 1)) as usize].load(Ordering::Acquire) };
-        if obj.is_null() {
-            return None;
-        }
-        // SAFETY: object boxes are immortal until the heap drops.
-        Some(unsafe { &*obj })
+        Some(ObjPtr { ptr: NonNull::new(obj)?, _heap: PhantomData })
     }
 
     /// Resolves a reference, panicking if it is stale.
-    fn resolve(&self, r: ObjRef) -> &Object {
+    fn resolve(&self, r: ObjRef) -> ObjPtr<'_> {
         let obj = self.object(r.slot());
-        let generation = obj.generation.load(Ordering::Relaxed);
         assert!(
-            generation == r.generation() && obj.live.load(Ordering::Acquire),
-            "dangling {r:?}: object was collected (current generation {generation})"
+            obj.is_live_at(r.generation()),
+            "dangling {r:?}: object was collected (current generation {})",
+            obj.meta().generation.load(Ordering::Relaxed)
         );
         obj
     }
 
     /// True if `r` still refers to a live (uncollected) object.
     pub fn is_valid(&self, r: ObjRef) -> bool {
-        match self.try_object(r.slot()) {
-            Some(obj) => {
-                obj.generation.load(Ordering::Relaxed) == r.generation()
-                    && obj.live.load(Ordering::Acquire)
-            }
-            None => false,
-        }
+        self.try_object(r.slot()).is_some_and(|obj| obj.is_live_at(r.generation()))
     }
 
     /// The class of the object `r` refers to.
@@ -287,12 +398,12 @@ impl Heap {
     ///
     /// Panics if `r` is stale.
     pub fn class_of(&self, r: ObjRef) -> ClassId {
-        ClassId(self.resolve(r).class.load(Ordering::Relaxed))
+        ClassId(self.resolve(r).meta().class.load(Ordering::Relaxed))
     }
 
     /// Number of fields of the object `r` refers to.
     pub fn field_count(&self, r: ObjRef) -> usize {
-        self.resolve(r).fields.len()
+        usize::from(self.resolve(r).meta().len)
     }
 
     /// Loads field `field` of `r` (relaxed; transactional consistency is
@@ -302,7 +413,7 @@ impl Heap {
     ///
     /// Panics if `r` is stale or `field` is out of bounds.
     pub fn load(&self, r: ObjRef, field: usize) -> Word {
-        Word::from_bits(self.resolve(r).fields[field].load(Ordering::Relaxed))
+        Word::from_bits(self.resolve(r).fields()[field].load(Ordering::Relaxed))
     }
 
     /// Stores `value` into field `field` of `r`.
@@ -311,7 +422,7 @@ impl Heap {
     ///
     /// Panics if `r` is stale or `field` is out of bounds.
     pub fn store(&self, r: ObjRef, field: usize, value: Word) {
-        self.resolve(r).fields[field].store(value.to_bits(), Ordering::Relaxed);
+        self.resolve(r).fields()[field].store(value.to_bits(), Ordering::Relaxed);
     }
 
     /// Direct access to a field's atomic cell, for synchronization
@@ -321,7 +432,7 @@ impl Heap {
     ///
     /// Panics if `r` is stale or `field` is out of bounds.
     pub fn field_atomic(&self, r: ObjRef, field: usize) -> &AtomicU64 {
-        &self.resolve(r).fields[field]
+        &self.resolve(r).fields()[field]
     }
 
     /// Direct access to the object's header (STM) word.
@@ -334,7 +445,7 @@ impl Heap {
     ///
     /// Panics if `r` is stale.
     pub fn header_atomic(&self, r: ObjRef) -> &AtomicU64 {
-        &self.resolve(r).header
+        &self.resolve(r).meta().header
     }
 
     /// Calls `f` for every live object.
@@ -346,9 +457,9 @@ impl Heap {
         let next_fresh = self.alloc_state.lock().next_fresh;
         for slot in 0..next_fresh {
             if let Some(obj) = self.try_object(slot) {
-                if obj.live.load(Ordering::Acquire) {
-                    let generation = obj.generation.load(Ordering::Relaxed);
-                    f(ObjRef::from_parts(slot, generation));
+                let meta = obj.meta();
+                if meta.flags.load(Ordering::Acquire) & LIVE != 0 {
+                    f(ObjRef::from_parts(slot, meta.generation.load(Ordering::Relaxed)));
                 }
             }
         }
@@ -367,22 +478,32 @@ impl Heap {
         f(&mut view)
     }
 
-    pub(crate) fn mark_bit(&self, slot: u32) -> &AtomicBool {
-        &self.object(slot).marked
+    /// Sets the mark bit of `slot`; true if it was clear.
+    pub(crate) fn mark(&self, slot: u32) -> bool {
+        self.object(slot).meta().flags.fetch_or(MARKED, Ordering::Relaxed) & MARKED == 0
+    }
+
+    pub(crate) fn is_marked(&self, slot: u32) -> bool {
+        self.object(slot).meta().flags.load(Ordering::Relaxed) & MARKED != 0
+    }
+
+    /// Clears the mark bit of `slot`; true if it was set.
+    pub(crate) fn take_mark(&self, slot: u32) -> bool {
+        self.object(slot).meta().flags.fetch_and(!MARKED, Ordering::Relaxed) & MARKED != 0
     }
 
     pub(crate) fn slot_live(&self, slot: u32) -> bool {
-        self.try_object(slot).is_some_and(|o| o.live.load(Ordering::Acquire))
+        self.try_object(slot).is_some_and(|o| o.meta().flags.load(Ordering::Acquire) & LIVE != 0)
     }
 
     pub(crate) fn object_fields(&self, slot: u32) -> &[AtomicU64] {
-        &self.object(slot).fields
+        self.object(slot).fields()
     }
 
     pub(crate) fn retire(&self, slot: u32) {
-        let obj = self.object(slot);
-        obj.live.store(false, Ordering::Release);
-        obj.generation.fetch_add(1, Ordering::Relaxed);
+        let meta = self.object(slot).meta();
+        meta.flags.fetch_and(!LIVE, Ordering::Release);
+        meta.generation.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -416,12 +537,14 @@ impl Drop for Heap {
             let in_chunk = used.saturating_sub(chunk_index << CHUNK_BITS).min(CHUNK_SIZE);
             // SAFETY: we have exclusive access; each chunk and each
             // published object pointer came from the global allocator
-            // and is dropped exactly once, here.
+            // and is freed exactly once, here, with the layout it was
+            // allocated with (recycling never changes an object's `len`).
             unsafe {
                 for entry in (&*chunk)[..in_chunk].iter() {
                     let obj = entry.load(Ordering::Relaxed);
                     if !obj.is_null() {
-                        drop(Box::from_raw(obj));
+                        let layout = object_layout(usize::from((*obj).len));
+                        std::alloc::dealloc(obj.cast::<u8>(), layout);
                     }
                 }
                 drop(Box::from_raw(chunk));
@@ -534,6 +657,91 @@ mod tests {
         let mut seen = Vec::new();
         heap.for_each_live(|r| seen.push(r));
         assert_eq!(seen, vec![a]);
+    }
+
+    fn class_with(heap: &Heap, fields: usize) -> ClassId {
+        let names: Vec<String> = (0..fields).map(|i| format!("f{i}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        heap.define_class(ClassDesc::with_var_fields(format!("C{fields}"), &names))
+    }
+
+    #[test]
+    fn objects_of_every_size_keep_their_fields_apart() {
+        let heap = Heap::new();
+        for fields in [0, 1, 300, 4096] {
+            let class = class_with(&heap, fields);
+            let a = heap.alloc(class).unwrap();
+            let b = heap.alloc(class).unwrap();
+            assert_eq!(heap.field_count(a), fields);
+            assert_eq!(heap.class_of(a), class);
+            assert_eq!(heap.header_atomic(a).load(Ordering::Relaxed), 0);
+            for i in 0..fields {
+                assert_eq!(heap.load(a, i).as_scalar(), Some(0), "field {i} starts zeroed");
+                heap.store(a, i, Word::from_scalar(i as i64));
+                heap.store(b, i, Word::from_scalar(-(i as i64)));
+            }
+            heap.header_atomic(a).store(u64::MAX, Ordering::Relaxed);
+            for i in 0..fields {
+                assert_eq!(heap.load(a, i).as_scalar(), Some(i as i64));
+                assert_eq!(heap.load(b, i).as_scalar(), Some(-(i as i64)));
+            }
+            assert_eq!(heap.header_atomic(b).load(Ordering::Relaxed), 0, "headers are distinct");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn fieldless_object_has_no_field_zero() {
+        let heap = Heap::new();
+        let class = class_with(&heap, 0);
+        let r = heap.alloc(class).unwrap();
+        let _ = heap.field_atomic(r, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "an object holds at most")]
+    fn classes_beyond_max_fields_are_refused() {
+        let heap = Heap::new();
+        let class = class_with(&heap, MAX_FIELDS + 1);
+        let _ = heap.alloc(class);
+    }
+
+    #[test]
+    fn swept_slots_are_reused_only_for_the_same_size_and_come_back_clean() {
+        let heap = Heap::new();
+        let small = class_with(&heap, 3);
+        let big = class_with(&heap, 300);
+        let small_dead = heap.alloc(small).unwrap();
+        let big_dead = heap.alloc(big).unwrap();
+        heap.store(small_dead, 2, Word::from_scalar(7));
+        heap.store(big_dead, 299, Word::from_scalar(9));
+        heap.header_atomic(big_dead).store(42, Ordering::Relaxed);
+        assert_eq!(heap.collect(&crate::RootSet::new(), &[]).swept, 2);
+
+        // A same-size class of another name takes the swept 300-field
+        // slot, zeroed, under a new generation.
+        let other_big = {
+            let names: Vec<String> = (0..300).map(|i| format!("g{i}")).collect();
+            let names: Vec<&str> = names.iter().map(String::as_str).collect();
+            heap.define_class(ClassDesc::with_var_fields("Other", &names))
+        };
+        let reused = heap.alloc(other_big).unwrap();
+        assert_eq!(reused.slot(), big_dead.slot());
+        assert_ne!(reused, big_dead);
+        assert!(!heap.is_valid(big_dead));
+        assert_eq!(heap.class_of(reused), other_big);
+        assert_eq!(heap.field_count(reused), 300);
+        assert_eq!(heap.load(reused, 299).as_scalar(), Some(0));
+        assert_eq!(heap.header_atomic(reused).load(Ordering::Relaxed), 0);
+
+        let reused_small = heap.alloc(small).unwrap();
+        assert_eq!(reused_small.slot(), small_dead.slot());
+        assert_eq!(heap.load(reused_small, 2).as_scalar(), Some(0));
+        // Both free lists are drained: the next object takes a fresh slot.
+        let fresh = heap.alloc(small).unwrap();
+        assert_eq!(fresh.slot(), 2);
+        assert_eq!(heap.stats().snapshot().reuses, 2);
+        assert_eq!(heap.live_objects(), 3);
     }
 
     #[test]

@@ -46,6 +46,6 @@ mod word;
 
 pub use class::{ClassDesc, ClassId, ClassRegistry, FieldDesc, FieldMut};
 pub use gc::{GcOutcome, GcParticipant, RootSet};
-pub use heap::{Heap, HeapFullError, MAX_OBJECTS};
+pub use heap::{Heap, HeapFullError, MAX_FIELDS, MAX_OBJECTS};
 pub use stats::{HeapStats, HeapStatsSnapshot};
 pub use word::{ObjRef, Word, SCALAR_BITS, SCALAR_MAX, SCALAR_MIN};

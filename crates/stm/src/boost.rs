@@ -172,7 +172,6 @@ impl AbstractLockTable {
     pub fn acquire(self: &Arc<Self>, tx: &mut Transaction<'_>, key: u64) -> TxResult<()> {
         let slot = self.slot_of(key);
         let me = u64::from(tx.token().to_raw());
-        let my_ctl = tx.ctl_arc();
         // Bound borrowed from the word-level doom-wait: both answer
         // "how long may one transaction stall behind another before
         // restarting instead".
@@ -180,7 +179,7 @@ impl AbstractLockTable {
         let mut spins = 0u32;
         let mut waited = 0u32;
         loop {
-            if my_ctl.is_doomed() {
+            if tx.is_doomed() {
                 return Err(TxError::DOOMED);
             }
             yield_point_keyed(schedpt::BOOST_PRE_LOCK_CAS, slot);
@@ -231,7 +230,7 @@ impl AbstractLockTable {
                 std::hint::spin_loop();
                 continue;
             }
-            match tx.stm().config().cm.arbitrate(&my_ctl, &other, spins) {
+            match tx.stm().config().cm.arbitrate(tx.ctl(), &other, spins) {
                 CmDecision::Wait => {
                     spins += 1;
                     self.note_wait(budget, &mut waited)?;

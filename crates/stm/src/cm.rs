@@ -78,6 +78,14 @@ impl TxCtl {
         }
     }
 
+    /// Counts one open operation. Only the owning transaction writes
+    /// karma (contenders just read it), so a load and a store suffice —
+    /// no read-modify-write.
+    #[inline]
+    pub(crate) fn bump_karma(&self) {
+        self.karma.store(self.karma.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+
     /// The transaction's stable age-based priority (lower = older).
     pub fn priority(&self) -> u64 {
         self.priority

@@ -103,17 +103,22 @@ impl MvStore {
     /// guarantee; a retire-after-release window would let the reader
     /// miss and abort). Keys carry the object's full raw bits, so a
     /// recycled slot (new generation) never aliases a dead ring.
+    ///
+    /// A ring is allocated at exactly `depth` entries and never grows:
+    /// a full ring drops its oldest entry before the push. Rows stay
+    /// until a collection trims them, so their size is the store's
+    /// footprint between collections.
     pub(crate) fn retire(&self, obj: ObjRef, field: u32, entry: MvEntry) {
         debug_assert!(self.enabled());
         debug_assert!(entry.from < entry.until, "empty validity interval");
         omt_util::sched::yield_point_keyed(schedpt::MV_PRE_RETIRE, obj.to_raw() as usize);
         let mut shard = self.shard(obj.to_raw(), field).lock();
-        let ring = shard.entry((obj.to_raw(), field)).or_default();
-        ring.push(entry);
-        if ring.len() > self.depth {
-            let excess = ring.len() - self.depth;
-            ring.drain(..excess);
+        let ring =
+            shard.entry((obj.to_raw(), field)).or_insert_with(|| Vec::with_capacity(self.depth));
+        if ring.len() == self.depth {
+            ring.remove(0);
         }
+        ring.push(entry);
     }
 
     /// Finds the retired value of `(obj, field)` current at `read_ver`,
@@ -248,6 +253,23 @@ mod tests {
         assert_eq!(mv.lookup(refs[0], 0, 0), None, "oldest entries evicted");
         assert_eq!(mv.lookup(refs[0], 0, 3), Some((Word::from_bits(103), 4)));
         assert_eq!(mv.lookup(refs[0], 0, 4), Some((Word::from_bits(104), 5)));
+    }
+
+    #[test]
+    fn ring_is_allocated_at_depth_and_never_grows() {
+        let (_heap, refs) = objs(1);
+        for depth in [1, 3] {
+            let mv = MvStore::new(depth);
+            let capacity = || {
+                let key = (refs[0].to_raw(), 0);
+                mv.shard(key.0, key.1).lock().get(&key).map(Vec::capacity)
+            };
+            for i in 0..10u64 {
+                mv.retire(refs[0], 0, MvEntry { from: i, until: i + 1, bits: i });
+                assert_eq!(capacity(), Some(depth), "ring sized at depth {depth}");
+            }
+            assert_eq!(mv.len(), depth);
+        }
     }
 
     #[test]

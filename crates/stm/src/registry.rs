@@ -7,11 +7,12 @@
 //! logs that live on mutator stacks, every active transaction registers
 //! a pointer to its [`TxLogs`] here, and unregisters on completion.
 //!
-//! Two further indexes serve the robustness layer:
+//! The same row carries the transaction's [`TxCtl`], keyed by its
+//! token, so a transaction that loses an `OpenForUpdate` race can
+//! inspect the *owner's* priority and doom or wait on it (priority
+//! contention management). One further index serves the robustness
+//! layer:
 //!
-//! - a token → [`TxCtl`] map lets a transaction that loses an
-//!   `OpenForUpdate` race inspect the *owner's* priority and doom or
-//!   wait on it (priority contention management);
 //! - an **orphan pool** holds the undo logs of transactions whose
 //!   thread "died" (a `Kill` failpoint) while owning objects. Any
 //!   transaction that later stumbles on an orphaned owner calls
@@ -22,16 +23,19 @@
 //! # Lock striping
 //!
 //! Every transaction registers at begin and unregisters at
-//! commit/abort, so these maps are on the hot path of *all* threads.
-//! The registry is therefore striped: [`REGISTRY_STRIPES`] shards, each
-//! with its own `active` / `ctls` / `orphans` maps and mutexes. A row
-//! lives in the shard selected by its key (serial for `active`, token
-//! for `ctls` and `orphans`); serials and tokens are allocated
-//! sequentially, so concurrent transactions land on different shards
-//! and never contend on registration. The per-map protocols are
-//! unchanged — each operation still locks exactly the one map it needs,
-//! and `ctls`/`orphans` rows for one token share a shard, preserving
-//! the recovery ordering (orphan logs out **before** ctl removal).
+//! commit/abort, so the registry is on the hot path of *all* threads.
+//! It is therefore striped: [`REGISTRY_STRIPES`] shards, each with its
+//! own `rows` and `orphans` and their mutexes. Everything about one
+//! transaction lives in the shard its token selects; tokens are
+//! allocated sequentially, so concurrent transactions land on
+//! different shards and never contend on registration. A stripe holds
+//! about a sixteenth of the live transactions, so its rows are a small
+//! `Vec` scanned linearly: begin and finish each take one lock and
+//! touch one short vector, with no hashing. Register refuses a token
+//! that already has a row, which is how a wrapped token counter learns
+//! that a live (or killed-but-unrecovered) transaction still holds the
+//! candidate. Recovery takes the orphan's logs out **before** removing
+//! its row, so contenders keep seeing `killed` until the undo is done.
 //!
 //! # Stop-the-world contract
 //!
@@ -54,7 +58,7 @@ use crate::cm::TxCtl;
 use crate::logs::TxLogs;
 use crate::word::{version_bits, TxToken};
 
-/// Number of lock stripes. A power of two; serials/tokens are assigned
+/// Number of lock stripes. A power of two; tokens are assigned
 /// sequentially so consecutive transactions hash to distinct stripes.
 const REGISTRY_STRIPES: usize = 16;
 
@@ -69,15 +73,21 @@ struct LogsPtr(*mut TxLogs);
 // stop-the-world contract plus the shard mutex.
 unsafe impl Send for LogsPtr {}
 
-/// One lock stripe: the slice of each index whose keys hash here.
+/// One registered transaction.
+struct Row {
+    /// The transaction's control block; `ctl.token` is the row's key.
+    ctl: Arc<TxCtl>,
+    /// Its logs while it runs. `None` once a kill parked them in the
+    /// orphan pool: the row itself stays (with `killed` set) until the
+    /// orphan is recovered, so contenders can tell "owner died" from
+    /// "owner released", and the token stays taken.
+    logs: Option<LogsPtr>,
+}
+
+/// One lock stripe: the rows and orphans whose tokens select it.
 #[derive(Default)]
 struct RegistryShard {
-    active: Mutex<HashMap<u64, LogsPtr>>,
-    /// Control blocks of in-flight transactions, keyed by token. An
-    /// entry outlives its `active` row for killed transactions: it
-    /// stays (with `killed` set) until the orphan is recovered, so
-    /// contenders can tell "owner died" from "owner released".
-    ctls: Mutex<HashMap<TxToken, Arc<TxCtl>>>,
+    rows: Mutex<Vec<Row>>,
     /// Undo logs of killed transactions, awaiting recovery.
     orphans: Mutex<HashMap<TxToken, Box<TxLogs>>>,
 }
@@ -103,38 +113,51 @@ impl TxRegistry {
     }
 
     #[inline]
-    fn shard_for_serial(&self, serial: u64) -> &RegistryShard {
-        &self.shards[serial as usize & (REGISTRY_STRIPES - 1)]
-    }
-
-    #[inline]
     fn shard_for_token(&self, token: TxToken) -> &RegistryShard {
         &self.shards[token.0 as usize & (REGISTRY_STRIPES - 1)]
     }
 
-    pub(crate) fn register(&self, serial: u64, ctl: Arc<TxCtl>, logs: *mut TxLogs) {
-        self.shard_for_serial(serial).active.lock().insert(serial, LogsPtr(logs));
-        self.shard_for_token(ctl.token).ctls.lock().insert(ctl.token, ctl);
+    /// Registers the transaction `ctl` describes, with its logs.
+    /// Returns `false`, registering nothing, if `ctl.token` is already
+    /// taken by a running or killed-but-unrecovered transaction.
+    pub(crate) fn register(&self, ctl: &Arc<TxCtl>, logs: *mut TxLogs) -> bool {
+        let mut rows = self.shard_for_token(ctl.token).rows.lock();
+        if rows.iter().any(|row| row.ctl.token == ctl.token) {
+            return false;
+        }
+        rows.push(Row { ctl: Arc::clone(ctl), logs: Some(LogsPtr(logs)) });
+        true
     }
 
-    pub(crate) fn unregister(&self, serial: u64, token: TxToken) {
-        self.shard_for_serial(serial).active.lock().remove(&serial);
-        self.shard_for_token(token).ctls.lock().remove(&token);
+    /// Removes `token`'s row, returning it so the caller drops it
+    /// outside the stripe lock.
+    fn remove_row(&self, token: TxToken) -> Option<Row> {
+        let mut rows = self.shard_for_token(token).rows.lock();
+        let at = rows.iter().position(|row| row.ctl.token == token)?;
+        Some(rows.swap_remove(at))
+    }
+
+    pub(crate) fn unregister(&self, token: TxToken) {
+        self.remove_row(token);
     }
 
     /// Control block of the in-flight (or killed-but-unrecovered)
     /// transaction holding `token`, if any.
     pub(crate) fn ctl_of(&self, token: TxToken) -> Option<Arc<TxCtl>> {
-        self.shard_for_token(token).ctls.lock().get(&token).cloned()
+        let rows = self.shard_for_token(token).rows.lock();
+        rows.iter().find(|row| row.ctl.token == token).map(|row| Arc::clone(&row.ctl))
     }
 
-    /// Parks a killed transaction's logs for later recovery. The
-    /// serial row is dropped (the thread is gone; there is no stack
-    /// slot to trace) but the control block stays until recovery so
+    /// Parks a killed transaction's logs for later recovery. The row
+    /// forgets its logs pointer (the thread is gone; there is no stack
+    /// slot to trace) but keeps the control block until recovery so
     /// contenders can detect the death.
-    pub(crate) fn park_orphan(&self, serial: u64, token: TxToken, logs: Box<TxLogs>) {
-        self.shard_for_serial(serial).active.lock().remove(&serial);
-        self.shard_for_token(token).orphans.lock().insert(token, logs);
+    pub(crate) fn park_orphan(&self, token: TxToken, logs: Box<TxLogs>) {
+        let shard = self.shard_for_token(token);
+        if let Some(row) = shard.rows.lock().iter_mut().find(|row| row.ctl.token == token) {
+            row.logs = None;
+        }
+        shard.orphans.lock().insert(token, logs);
     }
 
     /// Recovers the orphaned transaction holding `token`: replays its
@@ -204,7 +227,7 @@ impl TxRegistry {
         }
         // Only now does the token disappear: contenders that raced with
         // us kept seeing `killed` rather than a stale "still running".
-        shard.ctls.lock().remove(&token);
+        self.remove_row(token);
         self.stats.add(|c| &c.orphans_recovered, 1);
         true
     }
@@ -220,8 +243,8 @@ impl TxRegistry {
     pub(crate) fn min_active_read_ver(&self) -> Option<u64> {
         let mut min = None;
         for shard in self.shards.iter() {
-            for ctl in shard.ctls.lock().values() {
-                let rv = ctl.read_ver.load(Ordering::Acquire);
+            for row in shard.rows.lock().iter() {
+                let rv = row.ctl.read_ver.load(Ordering::Acquire);
                 if rv != u64::MAX && min.is_none_or(|m| rv < m) {
                     min = Some(rv);
                 }
@@ -232,7 +255,7 @@ impl TxRegistry {
 
     /// Number of registered (active) transactions.
     pub fn active_count(&self) -> usize {
-        self.shards.iter().map(|s| s.active.lock().len()).sum()
+        self.shards.iter().map(|s| s.rows.lock().iter().filter(|r| r.logs.is_some()).count()).sum()
     }
 
     /// Number of killed transactions awaiting recovery.
@@ -246,9 +269,10 @@ impl TxRegistry {
     pub fn total_log_bytes(&self) -> usize {
         let mut total = 0;
         for shard in self.shards.iter() {
-            // SAFETY: stop-the-world contract (see module docs).
-            total +=
-                shard.active.lock().values().map(|p| unsafe { &*p.0 }.byte_size()).sum::<usize>();
+            for p in shard.rows.lock().iter().filter_map(|r| r.logs.as_ref()) {
+                // SAFETY: stop-the-world contract (see module docs).
+                total += unsafe { &*p.0 }.byte_size();
+            }
             total += shard.orphans.lock().values().map(|l| l.byte_size()).sum::<usize>();
         }
         total
@@ -261,7 +285,7 @@ impl TxRegistry {
     pub fn total_log_entries(&self) -> (usize, usize, usize) {
         let mut totals = (0, 0, 0);
         for shard in self.shards.iter() {
-            for p in shard.active.lock().values() {
+            for p in shard.rows.lock().iter().filter_map(|r| r.logs.as_ref()) {
                 // SAFETY: stop-the-world contract (see module docs).
                 let (r, u, n) = unsafe { &*p.0 }.lens();
                 totals.0 += r;
@@ -298,7 +322,7 @@ impl GcParticipant for TxRegistry {
 
     fn trace_roots(&self, mark: &mut dyn FnMut(ObjRef)) {
         for shard in self.shards.iter() {
-            for p in shard.active.lock().values() {
+            for p in shard.rows.lock().iter().filter_map(|r| r.logs.as_ref()) {
                 // SAFETY: stop-the-world contract (see module docs).
                 unsafe { &*p.0 }.trace_rollback_roots(mark);
             }
@@ -314,7 +338,7 @@ impl GcParticipant for TxRegistry {
         let mut trimmed = 0u64;
         for shard in self.shards.iter() {
             omt_util::sched::yield_point(crate::schedpt::GC_PRE_TRIM_SHARD);
-            for p in shard.active.lock().values() {
+            for p in shard.rows.lock().iter().filter_map(|r| r.logs.as_ref()) {
                 // SAFETY: stop-the-world contract (see module docs); the
                 // mutable access is exclusive because mutators are paused.
                 trimmed += unsafe { &mut *p.0 }.trim(is_live) as u64;
@@ -349,48 +373,56 @@ mod tests {
     fn register_and_unregister() {
         let registry = TxRegistry::new(Default::default());
         let mut logs = Box::new(TxLogs::new());
-        registry.register(1, ctl(9, 1), &mut *logs);
+        assert!(registry.register(&ctl(9, 1), &mut *logs));
         assert_eq!(registry.active_count(), 1);
         assert!(registry.ctl_of(TxToken(9)).is_some());
         assert!(registry.ctl_of(TxToken(8)).is_none());
-        registry.unregister(1, TxToken(9));
+        registry.unregister(TxToken(9));
         assert_eq!(registry.active_count(), 0);
         assert!(registry.ctl_of(TxToken(9)).is_none());
     }
 
     #[test]
     fn rows_spread_across_stripes_but_aggregate_exactly() {
-        // Register transactions whose serials/tokens cover every stripe
-        // (and wrap around); global counts must see all of them.
+        // Register transactions whose tokens cover every stripe (and
+        // wrap around); global counts must see all of them.
         let registry = TxRegistry::new(Default::default());
         let mut logs: Vec<Box<TxLogs>> =
             (0..3 * REGISTRY_STRIPES).map(|_| Box::new(TxLogs::new())).collect();
         for (i, l) in logs.iter_mut().enumerate() {
-            registry.register(i as u64, ctl(i as u32, i as u64), &mut **l);
+            assert!(registry.register(&ctl(i as u32, i as u64), &mut **l));
         }
         assert_eq!(registry.active_count(), 3 * REGISTRY_STRIPES);
         for i in 0..3 * REGISTRY_STRIPES {
             assert!(registry.ctl_of(TxToken(i as u32)).is_some(), "token {i} lost");
         }
         for i in 0..3 * REGISTRY_STRIPES {
-            registry.unregister(i as u64, TxToken(i as u32));
+            registry.unregister(TxToken(i as u32));
         }
         assert_eq!(registry.active_count(), 0);
     }
 
     #[test]
-    fn serial_and_token_may_hash_to_different_stripes() {
-        // serial 1 → stripe 1, token 18 → stripe 2: registration rows
-        // split across stripes and both must still resolve and clean up.
+    fn register_refuses_a_token_that_is_live_or_killed_but_unrecovered() {
         let registry = TxRegistry::new(Default::default());
         let mut logs = Box::new(TxLogs::new());
-        registry.register(1, ctl(18, 1), &mut *logs);
+        let mut other = Box::new(TxLogs::new());
+        assert!(registry.register(&ctl(18, 1), &mut *logs));
+        // A second transaction drawing the live token gets "taken",
+        // and the refusal registers nothing.
+        assert!(!registry.register(&ctl(18, 2), &mut *other));
         assert_eq!(registry.active_count(), 1);
-        assert!(registry.ctl_of(TxToken(18)).is_some());
-        registry.park_orphan(1, TxToken(18), logs);
+        assert_eq!(registry.ctl_of(TxToken(18)).unwrap().priority(), 1);
+        // A neighbour in the same stripe is a different token.
+        assert!(registry.register(&ctl(2, 3), &mut *other));
+        registry.unregister(TxToken(2));
+
+        // Killed: the logs leave the row, the token stays taken.
+        registry.park_orphan(TxToken(18), logs);
         assert_eq!(registry.active_count(), 0);
         assert_eq!(registry.orphan_count(), 1);
-        assert!(registry.ctl_of(TxToken(18)).is_some(), "ctl survives park in its own stripe");
+        assert!(registry.ctl_of(TxToken(18)).is_some(), "ctl survives park until recovery");
+        assert!(!registry.register(&ctl(18, 4), &mut *other), "an orphan's token is taken");
         assert!(registry.recover(
             &omt_heap::Heap::new(),
             TxToken(18),
@@ -400,6 +432,9 @@ mod tests {
         ));
         assert_eq!(registry.orphan_count(), 0);
         assert!(registry.ctl_of(TxToken(18)).is_none());
+        assert!(registry.register(&ctl(18, 5), &mut *other), "free again after recovery");
+        registry.unregister(TxToken(18));
+        assert_eq!(registry.active_count(), 0);
     }
 
     #[test]
@@ -411,11 +446,11 @@ mod tests {
         let registry = TxRegistry::new(Default::default());
         let mut logs = Box::new(TxLogs::new());
         logs.read.push(crate::logs::ReadEntry { obj, observed: 0 });
-        registry.register(7, ctl(1, 7), &mut *logs);
+        assert!(registry.register(&ctl(1, 7), &mut *logs));
         let (r, u, n) = registry.total_log_entries();
         assert_eq!((r, u, n), (1, 0, 0));
         assert!(registry.total_log_bytes() > 0);
-        registry.unregister(7, TxToken(1));
+        registry.unregister(TxToken(1));
     }
 
     #[test]
@@ -439,8 +474,8 @@ mod tests {
         let mut logs = Box::new(TxLogs::new());
         logs.undo.push(UndoEntry { obj, field: 0, old_bits });
         logs.update.push(UpdateEntry { obj, original_version: 3, dead: false, dirtied: true });
-        registry.register(1, ctl(5, 1), &mut *logs);
-        registry.park_orphan(1, token, logs);
+        assert!(registry.register(&ctl(5, 1), &mut *logs));
+        registry.park_orphan(token, logs);
         assert_eq!(registry.orphan_count(), 1);
         assert!(registry.ctl_of(token).is_some(), "ctl survives until recovery");
 
@@ -477,8 +512,8 @@ mod tests {
         // Acquired but never cleared for in-place stores: no reader can
         // have observed anything but the pre-acquisition state.
         logs.update.push(UpdateEntry { obj, original_version: 3, dead: false, dirtied: false });
-        registry.register(1, ctl(6, 1), &mut *logs);
-        registry.park_orphan(1, token, logs);
+        assert!(registry.register(&ctl(6, 1), &mut *logs));
+        registry.park_orphan(token, logs);
         assert!(registry.recover(&heap, token, u64::MAX, &mut || None, &mut || ()));
         assert_eq!(heap.header_atomic(obj).load(Ordering::Acquire), version_bits(3));
     }
@@ -498,8 +533,8 @@ mod tests {
         // Dirtied at the maximum version: burning one must wrap to 0 and
         // announce a new epoch.
         logs.update.push(UpdateEntry { obj, original_version: 15, dead: false, dirtied: true });
-        registry.register(1, ctl(7, 1), &mut *logs);
-        registry.park_orphan(1, token, logs);
+        assert!(registry.register(&ctl(7, 1), &mut *logs));
+        registry.park_orphan(token, logs);
         let mut epoch_bumps = 0;
         assert!(registry.recover(&heap, token, 15, &mut || None, &mut || epoch_bumps += 1));
         assert_eq!(heap.header_atomic(obj).load(Ordering::Acquire), version_bits(0));
@@ -513,8 +548,8 @@ mod tests {
         // Two orphans whose tokens land in different stripes.
         for (serial, token) in [(1u64, TxToken(3)), (2, TxToken(4))] {
             let mut logs = Box::new(TxLogs::new());
-            registry.register(serial, ctl(token.0, serial), &mut *logs);
-            registry.park_orphan(serial, token, logs);
+            assert!(registry.register(&ctl(token.0, serial), &mut *logs));
+            registry.park_orphan(token, logs);
         }
         assert_eq!(registry.orphan_count(), 2);
         assert!(registry.recover(&heap, TxToken(3), u64::MAX, &mut || None, &mut || ()));

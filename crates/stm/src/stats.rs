@@ -227,6 +227,15 @@ impl StmStats {
         &self.shards[SHARD_INDEX.with(|s| *s)]
     }
 
+    /// Runs `record` once against this thread's shard, so a batch of
+    /// adds (a finished transaction's counters) looks the shard up once.
+    #[inline]
+    pub(crate) fn record(&self, record: impl FnOnce(&StatShard)) {
+        if self.enabled {
+            record(self.shard());
+        }
+    }
+
     /// Adds `n` to the counter selected by `counter` on this thread's
     /// shard. `counter` is a field projection (`|c| &c.commits`) so the
     /// call inlines to one branch plus one uncontended relaxed RMW.

@@ -11,11 +11,11 @@ use omt_util::sched::{block_until, yield_point};
 use omt_util::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::clock::{Clocks, Stamp};
-use crate::cm::TxCtl;
 use crate::config::{ClockMode, StmConfig};
 use crate::error::{ConflictKind, RetryExhausted, TxError, TxResult};
 use crate::failpoint::Failpoints;
 use crate::mv::MvStore;
+use crate::pool;
 use crate::registry::TxRegistry;
 use crate::stats::{StmStats, StmStatsSnapshot};
 use crate::tx::{Outcome, Transaction, TxCounters};
@@ -341,43 +341,38 @@ impl Stm {
     fn begin_with(&self, seed: Option<&AttemptSeed>) -> Transaction<'_> {
         self.stats.add(|c| &c.begins, 1);
         let serial = self.next_serial.fetch_add(1, Ordering::Relaxed);
+        let (priority, karma) = match seed {
+            Some(s) => (s.priority, s.karma),
+            None => (serial, 0),
+        };
+        let mut ctx = pool::acquire(self.config.runtime_filter, self.config.filter_bits);
         // Reuse-safe token allocation (sound in release builds, unlike
         // the debug-only collision panic it replaced). The 32-bit
         // counter wraps after 2³² begins; handing out a token that a
         // live transaction still holds would let two transactions treat
         // each other's ownership records as their own, corrupting the
         // heap far from the cause. Instead of assuming wraps never
-        // overtake a live transaction, redraw: skip any candidate whose
-        // token is still registered (and token 0, which the abstract-
-        // lock table reserves as its "free" encoding). The loop
-        // terminates because live transactions are finitely many —
-        // far fewer than 2³² (each holds a registry slot) — so some
-        // candidate is always free.
+        // overtake a live transaction, redraw: skip token 0 (which the
+        // abstract-lock table reserves as its "free" encoding) and any
+        // candidate the registry refuses because a running or
+        // killed-but-unrecovered transaction still holds it. The check
+        // and the registration are one step under the stripe lock, so
+        // a candidate found free is ours. The loop terminates because
+        // live transactions are finitely many — far fewer than 2³²
+        // (each holds a registry row) — so some candidate is always
+        // free.
         let token = loop {
             let raw = self.next_token.fetch_add(1, Ordering::Relaxed);
             if raw == 0 {
                 continue;
             }
             let candidate = TxToken(raw);
-            if self.registry.ctl_of(candidate).is_none() {
+            ctx.arm_ctl(candidate, priority, karma);
+            if self.registry.register(&ctx.ctl, &mut *ctx.logs) {
                 break candidate;
             }
-            // A wrap overtook a live transaction; redraw. Note the
-            // registry check races benignly: a live entry can only be
-            // *ours* once registered, and registration happens after
-            // this loop, so a candidate observed free stays free until
-            // we register it (tokens advance monotonically — no other
-            // thread can draw the same raw value without wrapping
-            // another full 2³² draws first, and such a double-wrap
-            // while this begin is in flight is beyond any physical
-            // machine).
         };
-        let (priority, karma) = match seed {
-            Some(s) => (s.priority, s.karma),
-            None => (serial, 0),
-        };
-        let ctl = Arc::new(TxCtl::new(token, priority, karma));
-        Transaction::new(self, serial, token, self.epoch(), ctl)
+        Transaction::new(self, token, self.epoch(), ctx)
     }
 
     /// Runs `f` transactionally, retrying on conflicts with randomized
@@ -548,8 +543,10 @@ impl Stm {
         seed: &mut Option<AttemptSeed>,
     ) -> TxResult<T> {
         let mut tx = self.begin_with(seed.as_ref());
-        let ctl = tx.ctl_arc();
         let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut tx)));
+        // Finishing opens nothing, so the age and karma the next
+        // attempt inherits are final once the body returned.
+        let next_seed = AttemptSeed { priority: tx.ctl().priority(), karma: tx.ctl().karma() };
         let result = match body {
             Ok(Ok(v)) => tx.commit().map(|()| v),
             Ok(Err(e)) => {
@@ -568,7 +565,7 @@ impl Stm {
             }
         };
         if result.is_err() {
-            *seed = Some(AttemptSeed { priority: ctl.priority(), karma: ctl.karma() });
+            *seed = Some(next_seed);
         }
         result
     }
@@ -758,41 +755,53 @@ impl Stm {
         self.next_token.store(raw, Ordering::Relaxed);
     }
 
+    /// Folds a finished transaction's outcome and counters into the
+    /// global statistics: one shard lookup, and no RMW for a counter
+    /// the transaction left at zero.
     pub(crate) fn flush_outcome(&self, outcome: Outcome, counters: &TxCounters) {
-        let s = &self.stats;
-        match outcome {
-            Outcome::Committed => s.add(|c| &c.commits, 1),
-            Outcome::Aborted(ConflictKind::Busy) => s.add(|c| &c.aborts_busy, 1),
-            Outcome::Aborted(ConflictKind::Invalid) => s.add(|c| &c.aborts_invalid, 1),
-            Outcome::Aborted(ConflictKind::Epoch) => s.add(|c| &c.aborts_epoch, 1),
-            Outcome::Aborted(ConflictKind::Explicit) => s.add(|c| &c.aborts_explicit, 1),
-            Outcome::Aborted(ConflictKind::Doomed) => s.add(|c| &c.aborts_doomed, 1),
-            Outcome::Killed => s.add(|c| &c.txs_killed, 1),
-        }
-        s.add(|c| &c.open_read_ops, counters.open_read_ops);
-        s.add(|c| &c.open_update_ops, counters.open_update_ops);
-        s.add(|c| &c.log_undo_ops, counters.log_undo_ops);
-        s.add(|c| &c.read_entries, counters.read_entries);
-        s.add(|c| &c.read_filtered, counters.read_filtered);
-        s.add(|c| &c.undo_entries, counters.undo_entries);
-        s.add(|c| &c.undo_filtered, counters.undo_filtered);
-        s.add(|c| &c.acquires, counters.acquires);
-        s.add(|c| &c.validations, counters.validations);
-        s.add(|c| &c.mid_validations, counters.mid_validations);
-        s.add(|c| &c.validation_fast_path, counters.validation_fast_path);
-        s.add(|c| &c.validation_entries_scanned, counters.validation_entries_scanned);
-        s.add(|c| &c.cm_spins, counters.cm_spins);
-        s.add(|c| &c.dooms_issued, counters.dooms);
-        s.add(|c| &c.snapshot_read_hits, counters.snapshot_read_hits);
-        s.add(|c| &c.ts_extensions, counters.ts_extensions);
-        s.add(|c| &c.extension_failures, counters.extension_failures);
-        s.add(|c| &c.readonly_commits, counters.readonly_commits);
-        s.add(|c| &c.readonly_aborts, counters.readonly_aborts);
-        s.add(|c| &c.clock_cas_failures, counters.clock_cas_failures);
-        s.add(|c| &c.clock_bump_retries, counters.clock_bump_retries);
-        s.add(|c| &c.mv_read_hits, counters.mv_read_hits);
-        s.add(|c| &c.mv_chain_misses, counters.mv_chain_misses);
-        s.add(|c| &c.snapshot_decomposed_opens, counters.snapshot_decomposed_opens);
+        self.stats.record(|s| {
+            let ended = match outcome {
+                Outcome::Committed => &s.commits,
+                Outcome::Aborted(ConflictKind::Busy) => &s.aborts_busy,
+                Outcome::Aborted(ConflictKind::Invalid) => &s.aborts_invalid,
+                Outcome::Aborted(ConflictKind::Epoch) => &s.aborts_epoch,
+                Outcome::Aborted(ConflictKind::Explicit) => &s.aborts_explicit,
+                Outcome::Aborted(ConflictKind::Doomed) => &s.aborts_doomed,
+                Outcome::Killed => &s.txs_killed,
+            };
+            ended.fetch_add(1, Ordering::Relaxed);
+            let c = counters;
+            for (cell, n) in [
+                (&s.open_read_ops, c.open_read_ops),
+                (&s.open_update_ops, c.open_update_ops),
+                (&s.log_undo_ops, c.log_undo_ops),
+                (&s.read_entries, c.read_entries),
+                (&s.read_filtered, c.read_filtered),
+                (&s.undo_entries, c.undo_entries),
+                (&s.undo_filtered, c.undo_filtered),
+                (&s.acquires, c.acquires),
+                (&s.validations, c.validations),
+                (&s.mid_validations, c.mid_validations),
+                (&s.validation_fast_path, c.validation_fast_path),
+                (&s.validation_entries_scanned, c.validation_entries_scanned),
+                (&s.cm_spins, c.cm_spins),
+                (&s.dooms_issued, c.dooms),
+                (&s.snapshot_read_hits, c.snapshot_read_hits),
+                (&s.ts_extensions, c.ts_extensions),
+                (&s.extension_failures, c.extension_failures),
+                (&s.readonly_commits, c.readonly_commits),
+                (&s.readonly_aborts, c.readonly_aborts),
+                (&s.clock_cas_failures, c.clock_cas_failures),
+                (&s.clock_bump_retries, c.clock_bump_retries),
+                (&s.mv_read_hits, c.mv_read_hits),
+                (&s.mv_chain_misses, c.mv_chain_misses),
+                (&s.snapshot_decomposed_opens, c.snapshot_decomposed_opens),
+            ] {
+                if n != 0 {
+                    cell.fetch_add(n, Ordering::Relaxed);
+                }
+            }
+        });
     }
 }
 

@@ -711,7 +711,7 @@ fn doomed_atomically_retries_and_succeeds() {
         if !doomed_once {
             // Simulate being doomed mid-flight by a higher-priority
             // transaction's contention manager.
-            tx.ctl_arc().doomed.store(true, Ordering::Release);
+            tx.ctl().doomed.store(true, Ordering::Release);
             doomed_once = true;
         }
         let n = tx.read(obj, 0)?.as_scalar().unwrap();
@@ -729,7 +729,7 @@ fn retry_carries_priority_and_karma_across_attempts() {
     let mut seen: Vec<(u64, u64)> = Vec::new();
     let _ = stm.try_atomically(|tx| {
         tx.open_for_read(obj)?; // karma +1 each attempt
-        let ctl = tx.ctl_arc();
+        let ctl = tx.ctl();
         seen.push((ctl.priority(), ctl.karma()));
         if seen.len() < 3 {
             return Err(TxError::EXPLICIT);
@@ -1248,7 +1248,7 @@ fn doomed_is_observed_before_the_clock_shortcut() {
     tx.read(obj, 0).unwrap();
     // Every fast-path precondition holds (clock unchanged, clean read
     // log) — yet the doom flag must win.
-    tx.ctl_arc().doomed.store(true, Ordering::Release);
+    tx.ctl().doomed.store(true, Ordering::Release);
     assert_eq!(tx.validate(), Err(TxError::Conflict(ConflictKind::Doomed)));
     assert_eq!(tx.counters().validation_fast_path, 0);
     assert_eq!(tx.commit(), Err(TxError::DOOMED));
@@ -1879,6 +1879,119 @@ fn token_wrap_redraws_past_live_transactions() {
     stm.set_next_token_for_test(tx3.token().to_raw() + 1);
     let tx4 = stm.begin();
     assert_eq!(tx4.token().to_raw(), 3);
+}
+
+#[test]
+fn token_wrap_redraws_past_a_killed_but_unrecovered_transaction() {
+    let (heap, class, stm) = setup();
+    let obj = heap.alloc(class).unwrap();
+    stm.set_next_token_for_test(u32::MAX);
+    stm.failpoints().set(sites::OPEN_UPDATE_AFTER_ACQUIRE, FailAction::Kill, Trigger::Once);
+    let mut victim = stm.begin();
+    assert_eq!(victim.token().to_raw(), u32::MAX);
+    assert_eq!(victim.write(obj, 0, Word::from_scalar(8)), Err(TxError::DOOMED));
+    drop(victim);
+    assert_eq!(stm.registry().orphan_count(), 1);
+
+    // The orphan still holds u32::MAX: a wrapped draw must skip it and
+    // the reserved 0.
+    stm.set_next_token_for_test(u32::MAX);
+    let tx = stm.begin();
+    assert_eq!(tx.token().to_raw(), 1, "a killed token stays taken until recovery");
+    drop(tx);
+
+    // Recovery frees the token.
+    let mut other = stm.begin();
+    other.write(obj, 0, Word::from_scalar(9)).unwrap();
+    other.commit().unwrap();
+    assert_eq!(stm.registry().orphan_count(), 0);
+    stm.set_next_token_for_test(u32::MAX);
+    assert_eq!(stm.begin().token().to_raw(), u32::MAX);
+}
+
+// ---------------------------------------------------------------------------
+// Pooled control blocks: a finished transaction's `TxCtl` is re-armed for
+// the next transaction on its thread only when no contender still holds it.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_held_ctl_is_never_reused_so_a_late_doom_misses_the_next_transaction() {
+    let (heap, class, stm) = setup();
+    let obj = heap.alloc(class).unwrap();
+
+    let owner = stm.begin();
+    // A contender looks the owner up and keeps the block past its finish.
+    let held = stm.registry().ctl_of(owner.token()).expect("registered");
+    owner.commit().unwrap();
+    // The contender's doom lands after the owner finished.
+    held.doomed.store(true, Ordering::Release);
+
+    let mut next = stm.begin();
+    assert!(!std::ptr::eq(next.ctl(), &*held), "a held ctl must not be reused");
+    assert!(!next.is_doomed(), "a late doom must not reach the next transaction");
+    next.write(obj, 0, Word::from_scalar(1)).unwrap();
+    next.commit().unwrap();
+
+    // With no holder left the pooled block is re-armed in place, and it
+    // comes back exactly as `TxCtl::new` would build it.
+    let mut first = stm.begin();
+    first.read(obj, 0).unwrap();
+    first.read(obj, 1).unwrap();
+    let pooled: *const crate::cm::TxCtl = first.ctl();
+    first.ctl().doomed.store(true, Ordering::Release);
+    first.abort();
+    let second = stm.begin();
+    let ctl = second.ctl();
+    assert!(std::ptr::eq(ctl, pooled), "an unshared ctl is re-armed, not reallocated");
+    assert_eq!(ctl.token, second.token());
+    assert!(!ctl.is_doomed() && !ctl.is_killed());
+    assert_eq!(ctl.karma(), 0, "karma restarts with a fresh atomic block");
+    assert_eq!(ctl.read_ver.load(Ordering::Acquire), stm.commit_clock());
+    second.commit().unwrap();
+    drop(held);
+}
+
+#[test]
+fn a_contender_holding_the_ctl_across_finish_never_dooms_the_next_attempt() {
+    use std::sync::mpsc;
+
+    // Two threads: the owner commits while the contender holds its
+    // control block, then starts its next transaction; the contender
+    // dooms the block it holds. The owner's next transaction must be
+    // unaffected on every round.
+    let (heap, class, stm) = setup();
+    let obj = heap.alloc(class).unwrap();
+    std::thread::scope(|s| {
+        // Both channels live inside the scope, so a failing assertion
+        // drops the owner's ends and the contender exits instead of
+        // blocking the scope's join.
+        let (to_contender, contender_rx) = mpsc::channel();
+        let (to_owner, owner_rx) = mpsc::channel();
+        let stm = &stm;
+        s.spawn(move || {
+            for _ in 0..50 {
+                let token = contender_rx.recv().unwrap();
+                let held = stm.registry().ctl_of(token).expect("owner is registered");
+                to_owner.send(()).unwrap();
+                contender_rx.recv().unwrap();
+                held.doomed.store(true, Ordering::Release);
+                to_owner.send(()).unwrap();
+            }
+        });
+        for round in 0..50 {
+            let owner = stm.begin();
+            to_contender.send(owner.token()).unwrap();
+            owner_rx.recv().unwrap();
+            owner.commit().unwrap();
+            let mut next = stm.begin();
+            to_contender.send(next.token()).unwrap();
+            owner_rx.recv().unwrap();
+            assert!(!next.is_doomed(), "round {round}: a stale doom reached the next tx");
+            next.write(obj, 0, Word::from_scalar(round)).unwrap();
+            next.commit().unwrap();
+        }
+    });
+    assert_eq!(stm.stats().aborts_doomed, 0);
 }
 
 // ---------------------------------------------------------------------------

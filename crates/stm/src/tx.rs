@@ -28,7 +28,6 @@
 
 use std::mem::ManuallyDrop;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 use omt_heap::{ClassId, ObjRef, Word};
 
@@ -122,7 +121,7 @@ enum TxState {
 /// §4.12). Handlers are opaque one-shot closures; `Debug` reports only
 /// the count.
 #[derive(Default)]
-struct Handlers(Vec<Box<dyn FnOnce() + 'static>>);
+pub(crate) struct Handlers(pub(crate) Vec<Box<dyn FnOnce() + 'static>>);
 
 impl std::fmt::Debug for Handlers {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -179,13 +178,16 @@ impl Handlers {
 #[derive(Debug)]
 pub struct Transaction<'stm> {
     stm: &'stm Stm,
-    serial: u64,
     token: TxToken,
     epoch: u64,
-    ctl: Arc<TxCtl>,
-    /// Pooled logs + filter; taken from the thread-local context pool
-    /// at begin and returned in `Drop` (`ManuallyDrop` lets `Drop` move
-    /// it out without a replacement allocation).
+    /// Pooled logs, filter, control block and handler lists; taken
+    /// from the thread-local context pool at begin and returned in
+    /// `Drop` (`ManuallyDrop` lets `Drop` move it out without a
+    /// replacement allocation). The handler lists run after a
+    /// successful commit's release phase (in order) and after rollback
+    /// (in reverse) — boosting registers abstract-lock releases in both
+    /// and inverse semantic ops in the abort list. Exactly one list
+    /// runs; the other is dropped unrun.
     ctx: ManuallyDrop<TxCtx>,
     counters: TxCounters,
     reads_since_validate: u32,
@@ -216,12 +218,6 @@ pub struct Transaction<'stm> {
     /// clock cannot vouch for such an entry (ownership transfers do not
     /// bump it), so validation must fall back to scanning.
     clock_fast_path_ok: bool,
-    /// Handlers to run (in order) after a successful commit's release
-    /// phase, and (in reverse) after rollback — boosting registers
-    /// abstract-lock releases in both and inverse semantic ops in the
-    /// abort list. Exactly one list runs; the other is dropped unrun.
-    commit_handlers: Handlers,
-    abort_handlers: Handlers,
     /// Snapshot mode only: true while every read so far was
     /// sandwich-verified against `read_ver` (`clock_snapshot`) by the
     /// composed [`Transaction::read`]. A read-only transaction that
@@ -266,25 +262,16 @@ enum SnapObserved {
 }
 
 impl<'stm> Transaction<'stm> {
-    pub(crate) fn new(
-        stm: &'stm Stm,
-        serial: u64,
-        token: TxToken,
-        epoch: u64,
-        ctl: Arc<TxCtl>,
-    ) -> Transaction<'stm> {
-        let mut ctx = pool::acquire(stm.config().runtime_filter, stm.config().filter_bits);
-        stm.registry().register(serial, ctl.clone(), &mut *ctx.logs);
+    /// Starts the transaction `ctx` was registered for under `token`.
+    pub(crate) fn new(stm: &'stm Stm, token: TxToken, epoch: u64, ctx: TxCtx) -> Transaction<'stm> {
         let clock_snapshot = stm.commit_clock();
         // Publish the initial read_ver so GC trimming never reclaims a
         // version-chain entry this transaction could still be served.
-        ctl.read_ver.store(clock_snapshot, Ordering::Release);
+        ctx.ctl.read_ver.store(clock_snapshot, Ordering::Release);
         Transaction {
             stm,
-            serial,
             token,
             epoch,
-            ctl,
             ctx: ManuallyDrop::new(ctx),
             counters: TxCounters::default(),
             reads_since_validate: 0,
@@ -293,8 +280,6 @@ impl<'stm> Transaction<'stm> {
             self_acquire_bumps: 0,
             validated_watermark: 0,
             clock_fast_path_ok: true,
-            commit_handlers: Handlers::default(),
-            abort_handlers: Handlers::default(),
             snapshot_clean: true,
             ext_ceiling: u64::MAX,
             state: TxState::Active,
@@ -317,7 +302,7 @@ impl<'stm> Transaction<'stm> {
     /// Panics if the transaction already finished.
     pub fn on_commit(&mut self, f: impl FnOnce() + 'static) {
         self.assert_active();
-        self.commit_handlers.0.push(Box::new(f));
+        self.ctx.commit_handlers.0.push(Box::new(f));
     }
 
     /// Registers a handler to run exactly once if this transaction
@@ -335,7 +320,7 @@ impl<'stm> Transaction<'stm> {
     /// Panics if the transaction already finished.
     pub fn on_abort(&mut self, f: impl FnOnce() + 'static) {
         self.assert_active();
-        self.abort_handlers.0.push(Box::new(f));
+        self.ctx.abort_handlers.0.push(Box::new(f));
     }
 
     /// This transaction's token (unique among concurrent transactions).
@@ -344,8 +329,8 @@ impl<'stm> Transaction<'stm> {
     }
 
     /// Shared control block (priority, karma, doom flag).
-    pub(crate) fn ctl_arc(&self) -> Arc<TxCtl> {
-        self.ctl.clone()
+    pub(crate) fn ctl(&self) -> &TxCtl {
+        &self.ctx.ctl
     }
 
     /// The owning [`Stm`] (for in-crate layers like boosting that need
@@ -359,13 +344,13 @@ impl<'stm> Transaction<'stm> {
     /// one; the next open or validate will return
     /// [`TxError::DOOMED`].
     pub fn is_doomed(&self) -> bool {
-        self.ctl.is_doomed()
+        self.ctx.ctl.is_doomed()
     }
 
     /// Returns [`TxError::DOOMED`] once a priority contention manager
     /// has doomed this transaction.
     fn check_doomed(&self) -> TxResult<()> {
-        if self.ctl.is_doomed() {
+        if self.ctx.ctl.is_doomed() {
             Err(TxError::DOOMED)
         } else {
             Ok(())
@@ -408,9 +393,9 @@ impl<'stm> Transaction<'stm> {
         // Kills are rare (fault injection only), so the replacement
         // allocation off the pooled fast path is fine.
         let logs = std::mem::replace(&mut self.ctx.logs, Box::new(TxLogs::new()));
-        self.stm.registry().park_orphan(self.serial, self.token, logs);
+        self.stm.registry().park_orphan(self.token, logs);
         // Publish the death only after the logs are recoverable.
-        self.ctl.killed.store(true, Ordering::Release);
+        self.ctx.ctl.killed.store(true, Ordering::Release);
         self.stm.flush_outcome(Outcome::Killed, &self.counters);
         // Semantic (boosting) state cannot be parked: abort handlers
         // are opaque closures, so no recovering thread could replay
@@ -420,8 +405,8 @@ impl<'stm> Transaction<'stm> {
         // their abstract locks. Word-level recovery of the parked logs
         // proceeds independently (the boosted discipline keeps the
         // outer transaction off the map's words entirely).
-        self.commit_handlers.0.clear();
-        Handlers::run(std::mem::take(&mut self.abort_handlers.0).into_iter().rev());
+        self.ctx.commit_handlers.0.clear();
+        Handlers::run(self.ctx.abort_handlers.0.drain(..).rev());
     }
 
     /// Operation counters accumulated so far.
@@ -492,7 +477,7 @@ impl<'stm> Transaction<'stm> {
         self.assert_active();
         self.check_doomed()?;
         self.counters.open_read_ops += 1;
-        self.ctl.karma.fetch_add(1, Ordering::Relaxed);
+        self.ctx.ctl.bump_karma();
 
         if self.stm.config().snapshot_reads {
             return self.snapshot_open(obj);
@@ -757,7 +742,7 @@ impl<'stm> Transaction<'stm> {
             return Err(TxError::INVALID);
         }
         self.counters.open_update_ops += 1;
-        self.ctl.karma.fetch_add(1, Ordering::Relaxed);
+        self.ctx.ctl.bump_karma();
 
         let header = self.stm.heap().header_atomic(obj);
         let mut spins = 0u32;
@@ -846,7 +831,7 @@ impl<'stm> Transaction<'stm> {
             return Ok(());
         }
 
-        match self.stm.config().cm.arbitrate(&self.ctl, &other, *spins) {
+        match self.stm.config().cm.arbitrate(&self.ctx.ctl, &other, *spins) {
             CmDecision::Wait => {
                 *spins += 1;
                 self.counters.cm_spins += 1;
@@ -983,7 +968,7 @@ impl<'stm> Transaction<'stm> {
         self.assert_active();
         self.check_doomed()?;
         self.counters.open_read_ops += 1;
-        self.ctl.karma.fetch_add(1, Ordering::Relaxed);
+        self.ctx.ctl.bump_karma();
         loop {
             match self.snapshot_resolve(obj, Some(field as u32))? {
                 SnapObserved::SelfOwned => {
@@ -1240,7 +1225,7 @@ impl<'stm> Transaction<'stm> {
             self.validated_watermark = self.ctx.logs.read.len();
             // Republish read_ver: GC trimming must keep every chain
             // entry this (possibly long-running) reader can still hit.
-            self.ctl.read_ver.store(self.clock_snapshot, Ordering::Release);
+            self.ctx.ctl.read_ver.store(self.clock_snapshot, Ordering::Release);
         }
         Ok(())
     }
@@ -1367,8 +1352,8 @@ impl<'stm> Transaction<'stm> {
         // Commit handlers (boosting: abstract-lock releases) run after
         // the updates are published and the transaction has finished,
         // in registration order; the abort list is dropped unrun.
-        self.abort_handlers.0.clear();
-        Handlers::run(std::mem::take(&mut self.commit_handlers.0).into_iter());
+        self.ctx.abort_handlers.0.clear();
+        Handlers::run(self.ctx.commit_handlers.0.drain(..));
         Ok(())
     }
 
@@ -1514,8 +1499,8 @@ impl<'stm> Transaction<'stm> {
         // Abort handlers (boosting: inverse semantic ops, then abstract
         // lock releases) run after word-level rollback is complete, in
         // reverse registration order; the commit list is dropped unrun.
-        self.commit_handlers.0.clear();
-        Handlers::run(std::mem::take(&mut self.abort_handlers.0).into_iter().rev());
+        self.ctx.commit_handlers.0.clear();
+        Handlers::run(self.ctx.abort_handlers.0.drain(..).rev());
     }
 
     /// Creates a savepoint for closed-nested rollback.
@@ -1529,8 +1514,8 @@ impl<'stm> Transaction<'stm> {
             filter.clear();
         }
         let mut sp = self.ctx.logs.savepoint();
-        sp.commit_handler_len = self.commit_handlers.0.len();
-        sp.abort_handler_len = self.abort_handlers.0.len();
+        sp.commit_handler_len = self.ctx.commit_handlers.0.len();
+        sp.abort_handler_len = self.ctx.abort_handlers.0.len();
         sp
     }
 
@@ -1548,8 +1533,8 @@ impl<'stm> Transaction<'stm> {
                 && sp.update_len <= self.ctx.logs.update.len()
                 && sp.undo_len <= self.ctx.logs.undo.len()
                 && sp.alloc_len <= self.ctx.logs.allocs.len()
-                && sp.commit_handler_len <= self.commit_handlers.0.len()
-                && sp.abort_handler_len <= self.abort_handlers.0.len(),
+                && sp.commit_handler_len <= self.ctx.commit_handlers.0.len()
+                && sp.abort_handler_len <= self.ctx.abort_handlers.0.len(),
             "savepoint does not match this transaction's logs"
         );
         for entry in self.ctx.logs.undo[sp.undo_len..].iter().rev() {
@@ -1642,8 +1627,8 @@ impl<'stm> Transaction<'stm> {
         // dropped, since the operations they would have sealed no
         // longer happen. Handlers registered before the savepoint
         // survive untouched.
-        let aborted: Vec<_> = self.abort_handlers.0.drain(sp.abort_handler_len..).collect();
-        self.commit_handlers.0.truncate(sp.commit_handler_len);
+        let aborted: Vec<_> = self.ctx.abort_handlers.0.drain(sp.abort_handler_len..).collect();
+        self.ctx.commit_handlers.0.truncate(sp.commit_handler_len);
         Handlers::run(aborted.into_iter().rev());
     }
 
@@ -1734,7 +1719,7 @@ impl<'stm> Transaction<'stm> {
             }
         }
         self.state = TxState::Finished;
-        self.stm.registry().unregister(self.serial, self.token);
+        self.stm.registry().unregister(self.token);
         self.stm.flush_outcome(outcome, &self.counters);
     }
 }
@@ -1753,8 +1738,10 @@ impl Drop for Transaction<'_> {
         if self.state == TxState::Active {
             self.rollback(ConflictKind::Explicit);
         }
-        // Recycle the logs + filter through the thread-local pool so the
-        // next transaction on this thread starts without allocating.
+        // Recycle the context through the thread-local pool so the next
+        // transaction on this thread starts without allocating.
+        // SAFETY: `ctx` is taken exactly once, here, and `self` is not
+        // used again after `drop` returns.
         let ctx = unsafe { ManuallyDrop::take(&mut self.ctx) };
         pool::release(ctx);
     }

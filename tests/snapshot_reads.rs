@@ -168,7 +168,11 @@ fn churn_storm(config: StmConfig, seed: u64) -> (u64, u64) {
                             }
                             // Guarantee the straddle: at least one churn
                             // commit lands between our hot read and commit.
-                            while churns.load(Ordering::Acquire) <= before {
+                            // The churner counts a commit only after it
+                            // returns, so the first count past `before`
+                            // may be a commit that landed before our hot
+                            // read; the second one began after it.
+                            while churns.load(Ordering::Acquire) <= before + 1 {
                                 std::hint::spin_loop();
                             }
                             Ok::<_, TxError>(())
