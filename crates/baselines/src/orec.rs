@@ -195,12 +195,17 @@ impl OrecTx<'_> {
     /// Never fails at read time (optimistic); the error type matches
     /// [`OrecTx::write`] for composition.
     pub fn read(&mut self, obj: ObjRef, field: usize) -> Result<Word, OrecConflict> {
-        let index = self.stm.orec_index(obj, field);
+        self.log_read(self.stm.orec_index(obj, field));
+        Ok(self.stm.heap.load(obj, field))
+    }
+
+    /// Logs the word of orec `index` as the version the next data load
+    /// depends on (unless this transaction owns it).
+    fn log_read(&mut self, index: usize) {
         let observed = self.stm.orecs[index].load(Ordering::Acquire);
         if observed != self.owned_word() {
             self.reads.push((index, observed));
         }
-        Ok(self.stm.heap.load(obj, field))
     }
 
     /// Transactional write: acquire the location's orec, undo-log, and
@@ -285,8 +290,12 @@ impl OrecTx<'_> {
             self.stm.heap.field_atomic(*obj, *field as usize).store(*old, Ordering::Relaxed);
         }
         self.undo.clear();
+        // Release with a new version, as commit does: a reader that
+        // logged `original` and then loaded a value this transaction
+        // stored in place must fail validation. Restoring `original`
+        // would let it commit the undone value (ABA).
         for (index, original) in self.owned.drain(..) {
-            self.stm.orecs[index].store(original, Ordering::Release);
+            self.stm.orecs[index].store(original.wrapping_add(2), Ordering::Release);
         }
         self.reads.clear();
     }
@@ -351,6 +360,30 @@ mod tests {
         stm.atomically(|tx| tx.write(obj, 0, Word::from_scalar(5)));
         assert_eq!(reader.commit(), Err(OrecConflict::Invalid));
         assert_eq!(heap.load(obj, 1).as_scalar(), Some(0), "rolled back");
+    }
+
+    #[test]
+    fn reader_of_an_aborted_in_place_store_fails_validation() {
+        let (heap, class, stm) = setup(10);
+        let obj = heap.alloc(class).unwrap();
+        let index = stm.orec_index(obj, 0);
+
+        // The reader logs the orec's version, then a writer acquires
+        // the orec and stores in place before the reader's data load.
+        let mut reader = stm.begin();
+        reader.log_read(index);
+        let mut writer = stm.begin();
+        writer.write(obj, 0, Word::from_scalar(5)).unwrap();
+        let dirty = heap.load(obj, 0);
+        assert_eq!(dirty.as_scalar(), Some(5));
+
+        writer.abort();
+        assert_eq!(heap.load(obj, 0).as_scalar(), Some(0), "the store was undone");
+        assert_eq!(
+            reader.commit(),
+            Err(OrecConflict::Invalid),
+            "the reader saw a value that never committed"
+        );
     }
 
     #[test]

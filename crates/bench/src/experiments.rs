@@ -39,12 +39,15 @@ impl Scale {
 pub fn e1_overhead(scale: Scale) {
     let mut table = Table::new(
         "E1: single-thread execution time, normalized to sequential (lower is better)",
-        &["benchmark", "seq(ms)", "O0", "O1", "O2", "O3", "O4", "wstm"],
+        &["benchmark", "seq(ms)", "seq ns/inst", "O0", "O1", "O2", "O3", "O4", "wstm"],
     );
     for (name, src, entry, base_n) in txil_benchmarks() {
         let n = base_n * scale.factor;
         let seq = crate::harness::time_txil_uninstrumented(src, entry, n);
-        let mut cells = vec![name.to_string(), ms(seq.elapsed)];
+        // The interpreter's own cost: what every IR instruction pays
+        // before any barrier does.
+        let ns_per_inst = seq.elapsed.as_nanos() as f64 / seq.counters.insts.max(1) as f64;
+        let mut cells = vec![name.to_string(), ms(seq.elapsed), format!("{ns_per_inst:.2}")];
         for level in OptLevel::ALL {
             let run = time_txil(src, level, BackendKind::DirectStm, entry, n);
             assert_eq!(run.result, seq.result, "{name}@{level} diverged");

@@ -207,7 +207,7 @@ impl Heap {
                 if self.take_mark(slot) {
                     continue; // survivor; mark bit cleared for next cycle
                 }
-                let field_count = self.object_fields(slot).len();
+                let field_count = self.object_field_count(slot);
                 self.retire(slot);
                 state.push_free(field_count, slot);
                 swept += 1;

@@ -17,7 +17,6 @@
 //! concurrent use (a stale [`ObjRef`] is detected by its generation and
 //! reported as a panic rather than undefined behaviour).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::marker::PhantomData;
 use std::ptr::NonNull;
@@ -124,6 +123,7 @@ pub(crate) struct ObjPtr<'h> {
 
 impl<'h> ObjPtr<'h> {
     /// The object's prefix.
+    #[inline]
     fn meta(self) -> &'h Object {
         // SAFETY: `ptr` came from `new_object` and was published in the
         // slot table; objects are freed only when the heap drops, which
@@ -133,6 +133,7 @@ impl<'h> ObjPtr<'h> {
     }
 
     /// The object's fields.
+    #[inline]
     fn fields(self) -> &'h [AtomicU64] {
         let len = usize::from(self.meta().len);
         // SAFETY: the allocation holds `len` initialized field words
@@ -148,6 +149,7 @@ impl<'h> ObjPtr<'h> {
     }
 
     /// True if the slot holds a live object of generation `generation`.
+    #[inline]
     fn is_live_at(self, generation: u8) -> bool {
         let meta = self.meta();
         meta.generation.load(Ordering::Relaxed) == generation
@@ -189,12 +191,37 @@ fn new_chunk() -> *mut Chunk {
     }
 }
 
+/// Recycled slots, one list per field count: a slot is reused only for
+/// an object of the same size. Programs use a handful of sizes, so the
+/// lists are found by a linear scan instead of hashing.
+#[derive(Default)]
+struct FreeLists(Vec<(u16, Vec<u32>)>);
+
+impl FreeLists {
+    fn slots(&mut self, field_count: u16) -> &mut Vec<u32> {
+        let index = match self.0.iter().position(|(count, _)| *count == field_count) {
+            Some(index) => index,
+            None => {
+                self.0.push((field_count, Vec::new()));
+                self.0.len() - 1
+            }
+        };
+        &mut self.0[index].1
+    }
+
+    fn pop(&mut self, field_count: u16) -> Option<u32> {
+        self.0.iter_mut().find(|(count, _)| *count == field_count)?.1.pop()
+    }
+
+    fn len(&self) -> usize {
+        self.0.iter().map(|(_, slots)| slots.len()).sum()
+    }
+}
+
 struct AllocState {
     /// Next never-used slot index.
     next_fresh: u32,
-    /// Recycled slots, keyed by field count (objects are reused only for
-    /// instances of the same size).
-    free: HashMap<usize, Vec<u32>>,
+    free: FreeLists,
     /// Number of chunks created so far.
     chunk_count: usize,
     /// Field count per class id, filled from the class registry on the
@@ -274,7 +301,7 @@ impl Heap {
             chunk_table,
             alloc_state: Mutex::new(AllocState {
                 next_fresh: 0,
-                free: HashMap::new(),
+                free: FreeLists::default(),
                 chunk_count: 0,
                 field_counts: Vec::new(),
             }),
@@ -314,7 +341,7 @@ impl Heap {
         let mut state = self.alloc_state.lock();
         let field_count = state.field_count(&self.classes, class);
 
-        if let Some(slot) = state.free.get_mut(&usize::from(field_count)).and_then(Vec::pop) {
+        if let Some(slot) = state.free.pop(field_count) {
             drop(state);
             let obj = self.object(slot);
             obj.reset_for_reuse(class);
@@ -353,13 +380,16 @@ impl Heap {
     /// # Panics
     ///
     /// Panics if the slot was never allocated.
+    #[inline]
     pub(crate) fn object(&self, slot: u32) -> ObjPtr<'_> {
         let chunk = self.chunk_table[(slot >> CHUNK_BITS) as usize].load(Ordering::Acquire);
-        assert!(!chunk.is_null(), "object slot {slot} beyond allocated chunks");
+        if chunk.is_null() {
+            unallocated(slot, "beyond allocated chunks");
+        }
         // SAFETY: as in `try_object`.
         let obj =
             unsafe { (*chunk)[(slot & (CHUNK_SIZE as u32 - 1)) as usize].load(Ordering::Acquire) };
-        let ptr = NonNull::new(obj).unwrap_or_else(|| panic!("object slot {slot} never allocated"));
+        let Some(ptr) = NonNull::new(obj) else { unallocated(slot, "never allocated") };
         ObjPtr { ptr, _heap: PhantomData }
     }
 
@@ -377,13 +407,12 @@ impl Heap {
     }
 
     /// Resolves a reference, panicking if it is stale.
+    #[inline]
     fn resolve(&self, r: ObjRef) -> ObjPtr<'_> {
         let obj = self.object(r.slot());
-        assert!(
-            obj.is_live_at(r.generation()),
-            "dangling {r:?}: object was collected (current generation {})",
-            obj.meta().generation.load(Ordering::Relaxed)
-        );
+        if !obj.is_live_at(r.generation()) {
+            dangling(r, obj);
+        }
         obj
     }
 
@@ -412,6 +441,7 @@ impl Heap {
     /// # Panics
     ///
     /// Panics if `r` is stale or `field` is out of bounds.
+    #[inline]
     pub fn load(&self, r: ObjRef, field: usize) -> Word {
         Word::from_bits(self.resolve(r).fields()[field].load(Ordering::Relaxed))
     }
@@ -421,6 +451,7 @@ impl Heap {
     /// # Panics
     ///
     /// Panics if `r` is stale or `field` is out of bounds.
+    #[inline]
     pub fn store(&self, r: ObjRef, field: usize, value: Word) {
         self.resolve(r).fields()[field].store(value.to_bits(), Ordering::Relaxed);
     }
@@ -431,6 +462,7 @@ impl Heap {
     /// # Panics
     ///
     /// Panics if `r` is stale or `field` is out of bounds.
+    #[inline]
     pub fn field_atomic(&self, r: ObjRef, field: usize) -> &AtomicU64 {
         &self.resolve(r).fields()[field]
     }
@@ -444,6 +476,7 @@ impl Heap {
     /// # Panics
     ///
     /// Panics if `r` is stale.
+    #[inline]
     pub fn header_atomic(&self, r: ObjRef) -> &AtomicU64 {
         &self.resolve(r).meta().header
     }
@@ -468,8 +501,7 @@ impl Heap {
     /// Number of live objects.
     pub fn live_objects(&self) -> usize {
         let state = self.alloc_state.lock();
-        let freed: usize = state.free.values().map(Vec::len).sum();
-        state.next_fresh as usize - freed
+        state.next_fresh as usize - state.free.len()
     }
 
     pub(crate) fn with_alloc_state<R>(&self, f: impl FnOnce(&mut AllocStateView<'_>) -> R) -> R {
@@ -500,11 +532,32 @@ impl Heap {
         self.object(slot).fields()
     }
 
+    pub(crate) fn object_field_count(&self, slot: u32) -> u16 {
+        self.object(slot).meta().len
+    }
+
     pub(crate) fn retire(&self, slot: u32) {
         let meta = self.object(slot).meta();
         meta.flags.fetch_and(!LIVE, Ordering::Release);
         meta.generation.fetch_add(1, Ordering::Relaxed);
     }
+}
+
+// The panics of the resolve path stay out of line, so the inlined
+// checks are a compare and a branch each.
+#[cold]
+#[inline(never)]
+fn unallocated(slot: u32, why: &str) -> ! {
+    panic!("object slot {slot} {why}")
+}
+
+#[cold]
+#[inline(never)]
+fn dangling(r: ObjRef, obj: ObjPtr<'_>) -> ! {
+    panic!(
+        "dangling {r:?}: object was collected (current generation {})",
+        obj.meta().generation.load(Ordering::Relaxed)
+    )
 }
 
 /// Restricted view of the allocator state used by the collector.
@@ -517,8 +570,8 @@ impl AllocStateView<'_> {
         self.state.next_fresh
     }
 
-    pub(crate) fn push_free(&mut self, field_count: usize, slot: u32) {
-        self.state.free.entry(field_count).or_default().push(slot);
+    pub(crate) fn push_free(&mut self, field_count: u16, slot: u32) {
+        self.state.free.slots(field_count).push(slot);
     }
 }
 

@@ -45,6 +45,7 @@ pub const SCALAR_MIN: i64 = i64::MIN >> 1;
 pub struct ObjRef(NonZeroU32);
 
 impl ObjRef {
+    #[inline]
     pub(crate) fn from_parts(slot: u32, generation: u8) -> ObjRef {
         debug_assert!(slot < (1 << 24) - 1, "slot index out of range");
         // Bias the slot by one so that slot 0 still yields a non-zero raw
@@ -54,17 +55,20 @@ impl ObjRef {
     }
 
     /// The slot index inside the heap's object table.
+    #[inline]
     pub(crate) fn slot(self) -> u32 {
         (self.0.get() >> 8) - 1
     }
 
     /// The recycling generation this reference was created under.
+    #[inline]
     pub(crate) fn generation(self) -> u8 {
         (self.0.get() & 0xff) as u8
     }
 
     /// Raw bit pattern, used by [`Word`] packing and by the STM word
     /// encoding in `omt-stm`.
+    #[inline]
     pub fn to_raw(self) -> u32 {
         self.0.get()
     }
@@ -72,6 +76,7 @@ impl ObjRef {
     /// Rebuilds a reference from [`ObjRef::to_raw`] output.
     ///
     /// Returns `None` for zero, which encodes null in a [`Word`].
+    #[inline]
     pub fn from_raw(raw: u32) -> Option<ObjRef> {
         NonZeroU32::new(raw).map(ObjRef)
     }
@@ -109,6 +114,7 @@ impl Word {
     pub const NULL: Word = Word(1);
 
     /// Returns the null reference word.
+    #[inline]
     pub fn null() -> Word {
         Word::NULL
     }
@@ -119,6 +125,7 @@ impl Word {
     ///
     /// Panics if `value` does not fit in 63 bits (outside
     /// [`SCALAR_MIN`]..=[`SCALAR_MAX`]).
+    #[inline]
     pub fn from_scalar(value: i64) -> Word {
         assert!(
             (SCALAR_MIN..=SCALAR_MAX).contains(&value),
@@ -128,16 +135,19 @@ impl Word {
     }
 
     /// Encodes a scalar, wrapping values that exceed 63 bits.
+    #[inline]
     pub fn from_scalar_wrapping(value: i64) -> Word {
         Word((value.wrapping_shl(1)) as u64)
     }
 
     /// Encodes an object reference.
+    #[inline]
     pub fn from_ref(r: ObjRef) -> Word {
         Word((u64::from(r.to_raw()) << 1) | 1)
     }
 
     /// Encodes an optional reference (`None` becomes null).
+    #[inline]
     pub fn from_opt_ref(r: Option<ObjRef>) -> Word {
         match r {
             Some(r) => Word::from_ref(r),
@@ -146,16 +156,19 @@ impl Word {
     }
 
     /// True if this word is a reference (including null).
+    #[inline]
     pub fn is_ref(self) -> bool {
         self.0 & 1 == 1
     }
 
     /// True if this word is the null reference.
+    #[inline]
     pub fn is_null(self) -> bool {
         self.0 == 1
     }
 
     /// Decodes a scalar, or `None` if this word is a reference.
+    #[inline]
     pub fn as_scalar(self) -> Option<i64> {
         if self.is_ref() {
             None
@@ -165,6 +178,7 @@ impl Word {
     }
 
     /// Decodes a non-null object reference.
+    #[inline]
     pub fn as_ref(self) -> Option<ObjRef> {
         if self.is_ref() {
             ObjRef::from_raw((self.0 >> 1) as u32)
@@ -174,11 +188,13 @@ impl Word {
     }
 
     /// Raw bit pattern, as stored in field atomics.
+    #[inline]
     pub fn to_bits(self) -> u64 {
         self.0
     }
 
     /// Rebuilds a word from [`Word::to_bits`] output.
+    #[inline]
     pub fn from_bits(bits: u64) -> Word {
         Word(bits)
     }
@@ -186,12 +202,14 @@ impl Word {
 
 impl Default for Word {
     /// The default word is scalar zero.
+    #[inline]
     fn default() -> Word {
         Word::from_scalar(0)
     }
 }
 
 impl From<ObjRef> for Word {
+    #[inline]
     fn from(r: ObjRef) -> Word {
         Word::from_ref(r)
     }

@@ -34,7 +34,7 @@
 //! | [`READ_PRE_RECHECK`] | snapshot-mode `read`, between the data load and the header re-check |
 //! | [`READ_OWNED_WAIT`] | snapshot-mode open, each bounded-wait round on a foreign owner |
 //! | [`EXTEND_PRE_VALIDATE`] | snapshot-mode open, before a timestamp-extension revalidation |
-//! | [`CLOCK_PRE_RAISE`] | snapshot-mode open under `Deferred` stamps, before raising the global commit clock to a leading stamp |
+//! | [`CLOCK_PRE_RAISE`] | snapshot-mode open, before raising the commit clock to a version ahead of it (a `Deferred` leading stamp, or a stamp from another `Stm` on the same heap) |
 //! | [`BOOST_PRE_LOCK_CAS`] | abstract-lock `acquire`, top of the load/CAS loop |
 //! | [`BOOST_LOCK_WAIT`] | abstract-lock `acquire`, each bounded-wait round on a held lock |
 //! | [`BOOST_PRE_UNLOCK`] | abstract-lock `release`, before the word is cleared |
@@ -48,7 +48,9 @@
 //! exact step sequences: `READ_PRE_RECHECK`, `READ_OWNED_WAIT`, and
 //! `EXTEND_PRE_VALIDATE` fire only with `snapshot_reads` enabled;
 //! `CLOCK_PRE_RAISE` additionally only under a clock mode whose commit
-//! stamps can lead the global clock (`Deferred`); the four
+//! stamps can lead the global clock (`Deferred`), or when a second
+//! `Stm` on the same heap stamped a version ahead of this one's clock,
+//! which no single-`Stm` scenario does; the four
 //! `BOOST_*` sites fire only through the abstract-lock table
 //! ([`crate::boost`]), which no word-level-only scenario touches; and
 //! the three `MV_*` sites fire only with
@@ -148,7 +150,8 @@ pub const EXTEND_PRE_VALIDATE: &str = "extend.pre_validate";
 /// version newer than `read_ver`, before raising the global commit
 /// clock to cover it (so the subsequent extension's refreshed
 /// `read_ver` admits the stamp). Fires only when
-/// `ClockMode::Deferred`'s leading stamps make the raise necessary.
+/// `ClockMode::Deferred`'s leading stamps make the raise necessary, or
+/// when the version was stamped by another `Stm` sharing the heap.
 pub const CLOCK_PRE_RAISE: &str = "clock.pre_raise";
 /// Abstract-lock `acquire` (boosting), top of the load/CAS loop: covers
 /// the initial attempt, every lost CAS race, and every re-examination

@@ -154,6 +154,10 @@ struct RetryBudget {
     /// Whether running out of budget surfaces as an error (`true`) or
     /// as forced serial-mode escalation (`false`).
     fallible: bool,
+    /// The deadline was zero on arrival: a fallible call is shed before
+    /// any attempt runs. Known from the duration itself, so the fast
+    /// path reads no clock beyond the one that set `deadline`.
+    expired: bool,
 }
 
 impl RetryBudget {
@@ -397,6 +401,7 @@ impl Stm {
             max_attempts: None,
             deadline: self.config.tx_deadline.map(|d| Instant::now() + d),
             fallible: false,
+            expired: false,
         };
         match self.run_loop(f, budget) {
             Ok(v) => v,
@@ -430,6 +435,7 @@ impl Stm {
             max_attempts: Some(self.config.max_retries),
             deadline: self.config.tx_deadline.map(|d| Instant::now() + d),
             fallible: true,
+            expired: self.config.tx_deadline.is_some_and(|d| d.is_zero()),
         };
         self.run_loop(f, budget)
     }
@@ -444,7 +450,7 @@ impl Stm {
     ///
     /// As [`Stm::try_atomically`];
     /// [`RetryExhausted::DeadlineExceeded`] once `deadline` (measured
-    /// from now) passes — with `attempts: 0` if it already has.
+    /// from now) passes — with `attempts: 0` if `deadline` is zero.
     #[must_use = "the transaction may have been shed; inspect the result"]
     pub fn try_atomically_within<T>(
         &self,
@@ -455,6 +461,7 @@ impl Stm {
             max_attempts: Some(self.config.max_retries),
             deadline: Some(Instant::now() + deadline),
             fallible: true,
+            expired: deadline.is_zero(),
         };
         self.run_loop(f, budget)
     }
@@ -468,9 +475,9 @@ impl Stm {
     ) -> Result<T, RetryExhausted> {
         let mut seed = None;
         let mut failures = 0u32;
-        // A deadline that has already passed sheds the call before any
-        // attempt runs — the admission-control fast path.
-        if budget.fallible && budget.past_deadline() {
+        // A zero deadline sheds the call before any attempt runs — the
+        // admission-control fast path.
+        if budget.fallible && budget.expired {
             self.stats.add(|c| &c.deadlines_exceeded, 1);
             return Err(RetryExhausted::DeadlineExceeded { attempts: 0 });
         }

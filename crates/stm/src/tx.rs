@@ -669,6 +669,16 @@ impl<'stm> Transaction<'stm> {
                         if let StmWord::Version(v) = word {
                             self.stm.clocks().raise_to(v);
                         }
+                    } else if let StmWord::Version(v) = word {
+                        // This `Stm`'s own stamps never lead its clock,
+                        // but another `Stm` sharing the heap stamps
+                        // headers from a clock of its own. Raise ours
+                        // to such a version, or no extension would ever
+                        // cover it and the read would spin forever.
+                        if v > self.stm.commit_clock() {
+                            yield_point_keyed(schedpt::CLOCK_PRE_RAISE, obj.to_raw() as usize);
+                            self.stm.clocks().raise_to(v);
+                        }
                     }
                     yield_point_keyed(schedpt::EXTEND_PRE_VALIDATE, obj.to_raw() as usize);
                     // Test-only regression mode: fast-forward read_ver

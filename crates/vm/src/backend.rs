@@ -153,8 +153,11 @@ impl std::str::FromStr for BackendKind {
 /// The per-atomic-region synchronization state.
 // One `Session` lives per interpreter, never in collections, so the
 // size spread between `Idle` and a full `Transaction` costs nothing;
-// boxing the STM variant would put an indirection on the hot path.
+// boxing the STM variant would put an indirection on the hot path. The
+// explicit tag byte lets every per-op match test one byte instead of
+// decoding a niche inside `Transaction`.
 #[allow(clippy::large_enum_variant)]
+#[repr(u8)]
 pub(crate) enum Session<'b> {
     /// No region active.
     Idle,
@@ -171,11 +174,13 @@ pub(crate) enum Session<'b> {
 }
 
 impl<'b> Session<'b> {
+    #[inline]
     pub(crate) fn is_active(&self) -> bool {
         !matches!(self, Session::Idle)
     }
 
     /// Begins a region on `backend`.
+    #[inline(never)]
     pub(crate) fn begin(backend: &'b SyncBackend) -> Session<'b> {
         match backend {
             SyncBackend::Sequential => Session::SequentialRegion,
@@ -186,36 +191,31 @@ impl<'b> Session<'b> {
         }
     }
 
+    #[inline]
     pub(crate) fn open_for_read(&mut self, obj: ObjRef) -> Result<(), Trap> {
         match self {
-            // Under snapshot reads the decomposed open is deferred to
-            // the load itself: `Session::load` routes through the
-            // composed `Transaction::read`, which resolves the header,
-            // sandwiches the data load, and can serve old values from
-            // the version chain. Opening here as well would only burn
-            // the abort-free `snapshot_clean` path (a decomposed open's
-            // separate load cannot be sandwich-verified).
-            Session::Stm(tx) if tx.snapshot_reads() => Ok(()),
-            Session::Stm(tx) => tx.open_for_read(obj).map_err(Trap::from),
+            Session::Stm(tx) => stm_open_for_read(tx, obj),
             Session::Tpl(tx) => tx.acquire(obj).map_err(|_| Trap::Conflict),
             Session::Idle => Err(Trap::Error("barrier outside atomic region".into())),
             _ => Ok(()),
         }
     }
 
+    #[inline]
     pub(crate) fn open_for_update(&mut self, obj: ObjRef) -> Result<(), Trap> {
         match self {
-            Session::Stm(tx) => tx.open_for_update(obj).map_err(Trap::from),
+            Session::Stm(tx) => stm_open_for_update(tx, obj),
             Session::Tpl(tx) => tx.acquire(obj).map_err(|_| Trap::Conflict),
             Session::Idle => Err(Trap::Error("barrier outside atomic region".into())),
             _ => Ok(()),
         }
     }
 
+    #[inline]
     pub(crate) fn log_for_undo(&mut self, obj: ObjRef, field: usize) -> Result<(), Trap> {
         match self {
             Session::Stm(tx) => {
-                tx.log_for_undo(obj, field);
+                stm_log_for_undo(tx, obj, field);
                 Ok(())
             }
             Session::Tpl(tx) => {
@@ -227,6 +227,7 @@ impl<'b> Session<'b> {
         }
     }
 
+    #[inline]
     pub(crate) fn load(&mut self, heap: &Heap, obj: ObjRef, field: usize) -> Result<Word, Trap> {
         match self {
             Session::Buffered(tx) => tx.read(obj, field).map_err(Trap::from),
@@ -236,11 +237,12 @@ impl<'b> Session<'b> {
             // data this load observes to `read_ver`. Route through the
             // composed read, which is where snapshot mode's guarantees
             // (and its abort-free chain service) live.
-            Session::Stm(tx) if tx.snapshot_reads() => tx.read(obj, field).map_err(Trap::from),
+            Session::Stm(tx) if tx.snapshot_reads() => stm_read(tx, obj, field),
             _ => Ok(heap.load(obj, field)),
         }
     }
 
+    #[inline]
     pub(crate) fn store(
         &mut self,
         heap: &Heap,
@@ -262,6 +264,7 @@ impl<'b> Session<'b> {
 
     /// Allocates an object (recorded in the transaction's allocation
     /// log under the direct STM).
+    #[inline(never)]
     pub(crate) fn alloc(&mut self, heap: &Heap, class: omt_heap::ClassId) -> Result<ObjRef, Trap> {
         match self {
             Session::Stm(tx) => tx.alloc(class).map_err(Trap::from),
@@ -271,6 +274,7 @@ impl<'b> Session<'b> {
 
     /// Mid-region validation (direct STM only; others are always
     /// consistent).
+    #[inline(never)]
     pub(crate) fn validate(&mut self) -> Result<(), Trap> {
         match self {
             Session::Stm(tx) => tx.validate().map_err(Trap::from),
@@ -279,6 +283,7 @@ impl<'b> Session<'b> {
     }
 
     /// Commits the region. On `Err` the session has been rolled back.
+    #[inline(never)]
     pub(crate) fn commit(&mut self) -> Result<(), Trap> {
         match std::mem::replace(self, Session::Idle) {
             Session::Idle => Err(Trap::Error("tx_commit outside atomic region".into())),
@@ -297,6 +302,7 @@ impl<'b> Session<'b> {
     }
 
     /// Aborts the region (idempotent on idle sessions).
+    #[inline(never)]
     pub(crate) fn abort(&mut self) {
         match std::mem::replace(self, Session::Idle) {
             Session::Idle | Session::SequentialRegion => {}
@@ -306,6 +312,40 @@ impl<'b> Session<'b> {
             Session::Stm(tx) => tx.abort(),
         }
     }
+}
+
+// The direct STM's barriers, each compiled once, out of the
+// interpreter's dispatch loop: inlined there, their fast paths crowded
+// the loop's registers for every other op.
+
+#[inline(never)]
+fn stm_open_for_read(tx: &mut Transaction<'_>, obj: ObjRef) -> Result<(), Trap> {
+    // Under snapshot reads the decomposed open is deferred to the load
+    // itself: `Session::load` routes through the composed
+    // `Transaction::read`, which resolves the header, sandwiches the
+    // data load, and can serve old values from the version chain.
+    // Opening here as well would only burn the abort-free
+    // `snapshot_clean` path (a decomposed open's separate load cannot be
+    // sandwich-verified).
+    if tx.snapshot_reads() {
+        return Ok(());
+    }
+    tx.open_for_read(obj).map_err(Trap::from)
+}
+
+#[inline(never)]
+fn stm_open_for_update(tx: &mut Transaction<'_>, obj: ObjRef) -> Result<(), Trap> {
+    tx.open_for_update(obj).map_err(Trap::from)
+}
+
+#[inline(never)]
+fn stm_log_for_undo(tx: &mut Transaction<'_>, obj: ObjRef, field: usize) {
+    tx.log_for_undo(obj, field);
+}
+
+#[inline(never)]
+fn stm_read(tx: &mut Transaction<'_>, obj: ObjRef, field: usize) -> Result<Word, Trap> {
+    tx.read(obj, field).map_err(Trap::from)
 }
 
 impl fmt::Debug for Session<'_> {

@@ -4,61 +4,25 @@
 use std::cell::Cell;
 use std::fmt;
 
-/// Per-VM dynamic counters (a VM is single-threaded; counters use
-/// `Cell`).
+/// Per-VM dynamic counters (a VM is single-threaded; the counters sit
+/// in a `Cell`).
 #[derive(Debug, Default)]
-pub struct VmCounters {
-    pub(crate) insts: Cell<u64>,
-    pub(crate) open_read: Cell<u64>,
-    pub(crate) open_update: Cell<u64>,
-    pub(crate) log_undo: Cell<u64>,
-    pub(crate) get_field: Cell<u64>,
-    pub(crate) set_field: Cell<u64>,
-    pub(crate) allocs: Cell<u64>,
-    pub(crate) calls: Cell<u64>,
-    pub(crate) tx_begun: Cell<u64>,
-    pub(crate) tx_committed: Cell<u64>,
-    pub(crate) tx_retries: Cell<u64>,
-    pub(crate) backedge_validations: Cell<u64>,
-}
+pub struct VmCounters(Cell<VmCountersSnapshot>);
 
 impl VmCounters {
     /// Takes a copy of all counters.
     pub fn snapshot(&self) -> VmCountersSnapshot {
-        VmCountersSnapshot {
-            insts: self.insts.get(),
-            open_read: self.open_read.get(),
-            open_update: self.open_update.get(),
-            log_undo: self.log_undo.get(),
-            get_field: self.get_field.get(),
-            set_field: self.set_field.get(),
-            allocs: self.allocs.get(),
-            calls: self.calls.get(),
-            tx_begun: self.tx_begun.get(),
-            tx_committed: self.tx_committed.get(),
-            tx_retries: self.tx_retries.get(),
-            backedge_validations: self.backedge_validations.get(),
-        }
+        self.0.get()
     }
 
     /// Zeroes all counters.
     pub fn reset(&self) {
-        self.insts.set(0);
-        self.open_read.set(0);
-        self.open_update.set(0);
-        self.log_undo.set(0);
-        self.get_field.set(0);
-        self.set_field.set(0);
-        self.allocs.set(0);
-        self.calls.set(0);
-        self.tx_begun.set(0);
-        self.tx_committed.set(0);
-        self.tx_retries.set(0);
-        self.backedge_validations.set(0);
+        self.0.set(VmCountersSnapshot::default());
     }
 
-    pub(crate) fn bump(cell: &Cell<u64>) {
-        cell.set(cell.get() + 1);
+    /// Adds one run's counts.
+    pub(crate) fn add(&self, run: &VmCountersSnapshot) {
+        self.0.set(self.0.get().merged(run));
     }
 }
 
@@ -92,6 +56,24 @@ pub struct VmCountersSnapshot {
 }
 
 impl VmCountersSnapshot {
+    /// The field-by-field sum of two snapshots.
+    pub(crate) fn merged(self, other: &VmCountersSnapshot) -> VmCountersSnapshot {
+        VmCountersSnapshot {
+            insts: self.insts + other.insts,
+            open_read: self.open_read + other.open_read,
+            open_update: self.open_update + other.open_update,
+            log_undo: self.log_undo + other.log_undo,
+            get_field: self.get_field + other.get_field,
+            set_field: self.set_field + other.set_field,
+            allocs: self.allocs + other.allocs,
+            calls: self.calls + other.calls,
+            tx_begun: self.tx_begun + other.tx_begun,
+            tx_committed: self.tx_committed + other.tx_committed,
+            tx_retries: self.tx_retries + other.tx_retries,
+            backedge_validations: self.backedge_validations + other.backedge_validations,
+        }
+    }
+
     /// Total dynamic barrier executions.
     pub fn total_barriers(&self) -> u64 {
         self.open_read + self.open_update + self.log_undo
@@ -131,11 +113,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bump_and_snapshot() {
+    fn add_and_snapshot() {
         let c = VmCounters::default();
-        VmCounters::bump(&c.open_read);
-        VmCounters::bump(&c.open_read);
-        VmCounters::bump(&c.get_field);
+        c.add(&VmCountersSnapshot { open_read: 1, get_field: 1, ..Default::default() });
+        c.add(&VmCountersSnapshot { open_read: 1, ..Default::default() });
         let s = c.snapshot();
         assert_eq!(s.open_read, 2);
         assert_eq!(s.total_barriers(), 2);

@@ -80,24 +80,7 @@ pub fn run_parallel(
     for outcome in outcomes {
         let (result, c) = outcome?;
         results.push(result);
-        counters = sum(counters, c);
+        counters = counters.merged(&c);
     }
     Ok(ParallelOutcome { elapsed, results, counters })
-}
-
-fn sum(a: VmCountersSnapshot, b: VmCountersSnapshot) -> VmCountersSnapshot {
-    VmCountersSnapshot {
-        insts: a.insts + b.insts,
-        open_read: a.open_read + b.open_read,
-        open_update: a.open_update + b.open_update,
-        log_undo: a.log_undo + b.log_undo,
-        get_field: a.get_field + b.get_field,
-        set_field: a.set_field + b.set_field,
-        allocs: a.allocs + b.allocs,
-        calls: a.calls + b.calls,
-        tx_begun: a.tx_begun + b.tx_begun,
-        tx_committed: a.tx_committed + b.tx_committed,
-        tx_retries: a.tx_retries + b.tx_retries,
-        backedge_validations: a.backedge_validations + b.backedge_validations,
-    }
 }

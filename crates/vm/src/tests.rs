@@ -358,3 +358,145 @@ fn counters_reset() {
     vm.reset_counters();
     assert_eq!(vm.counters().insts, 0);
 }
+
+#[test]
+fn deep_recursion_runs_on_the_vm_stack_not_the_native_one() {
+    // Calls nest on the VM's own frame stack, so recursion far deeper
+    // than a test thread's native stack would allow still completes.
+    const SRC: &str = "
+        fn down(n: int) -> int {
+            if n == 0 { return 0; }
+            return down(n - 1) + 1;
+        }
+    ";
+    for kind in [BackendKind::Sequential, BackendKind::DirectStm] {
+        let vm = vm_for(SRC, OptLevel::O4, kind);
+        assert_eq!(run_scalar(&vm, "down", &[200_000]), 200_000, "backend {kind}");
+        assert_eq!(vm.counters().calls, 200_000);
+        // The stacks are reused: a second run gives the same answer.
+        assert_eq!(run_scalar(&vm, "down", &[1_000]), 1_000);
+    }
+    let vm = vm_for(FIB, OptLevel::O4, BackendKind::Sequential);
+    assert_eq!(run_scalar(&vm, "fib", &[20]), 6765);
+}
+
+#[test]
+fn bst_depth_recursion_on_a_degenerate_tree() {
+    // Sorted keys make the tree a chain, so `depth` recurses once per
+    // key, each frame holding live registers across two calls.
+    let src = format!(
+        "{BST_TREE}
+        fn chain(n: int) -> int {{
+            let t = new Tree();
+            let i = 0;
+            while i < n {{ insert(t, i); i = i + 1; }}
+            return depth(t.root);
+        }}"
+    );
+    for kind in [BackendKind::Sequential, BackendKind::DirectStm] {
+        let vm = vm_for(&src, OptLevel::O4, kind);
+        assert_eq!(run_scalar(&vm, "chain", &[600]), 600, "backend {kind}");
+    }
+}
+
+/// The tree of the bst-insert benchmark program.
+const BST_TREE: &str = "
+    class Tree { var root: TreeNode; }
+    class TreeNode { var key: int; var left: TreeNode; var right: TreeNode; }
+    fn insert(t: Tree, key: int) {
+        atomic {
+            let parent: TreeNode = null;
+            let goleft = false;
+            let p = t.root;
+            while p != null {
+                parent = p;
+                if key < p.key { goleft = true; p = p.left; }
+                else { goleft = false; p = p.right; }
+            }
+            let fresh = new TreeNode(key, null, null);
+            if parent == null { t.root = fresh; }
+            else if goleft { parent.left = fresh; }
+            else { parent.right = fresh; }
+        }
+    }
+    fn depth(p: TreeNode) -> int {
+        if p == null { return 0; }
+        let l = depth(p.left);
+        let r = depth(p.right);
+        if l > r { return l + 1; }
+        return r + 1;
+    }
+";
+
+#[test]
+fn conflict_in_a_called_tx_clone_restores_the_region_frames_registers() {
+    // The region frame adds to `total` before calling `bump`, whose
+    // `$tx` clone opens the cell for update. A failpoint aborts that
+    // first open, so the conflict surfaces two frames below the region:
+    // the callee frame is unwound, the region frame's registers are
+    // restored from its `TxBegin` snapshot, and the retry adds 10 once.
+    const SRC: &str = "
+        class Cell { var v: int; }
+        fn make() -> Cell { return new Cell(); }
+        fn bump(c: Cell) -> int { c.v = c.v + 1; return c.v; }
+        fn run(c: Cell) -> int {
+            let total = 0;
+            atomic {
+                total = total + 10;
+                let seen = bump(c);
+                total = total + seen;
+            }
+            return total;
+        }
+    ";
+    for level in OptLevel::ALL {
+        let vm = vm_for(SRC, level, BackendKind::DirectStm);
+        let cell = vm.run("make", &[]).unwrap().unwrap();
+        let stm = vm.backend().as_stm().expect("direct STM backend");
+        stm.failpoints().set(
+            omt_stm::failpoint::sites::OPEN_UPDATE_AFTER_ACQUIRE,
+            omt_stm::FailAction::Abort,
+            omt_stm::Trigger::Once,
+        );
+        vm.reset_counters();
+        let total = vm.run("run", &[cell]).unwrap().unwrap();
+        assert_eq!(total.as_scalar(), Some(11), "level {level}: registers rolled back");
+        assert_eq!(vm.heap().load(cell.as_ref().unwrap(), 0).as_scalar(), Some(1));
+        let c = vm.counters();
+        assert_eq!((c.tx_begun, c.tx_retries, c.tx_committed), (1, 1, 1), "level {level}");
+        assert_eq!(c.calls, 2, "level {level}: the call ran once per attempt");
+        assert_eq!(c.open_update, 2, "level {level}");
+    }
+}
+
+#[test]
+fn runaway_recursion_traps_instead_of_exhausting_memory() {
+    let src = format!("{FIB} fn forever(n: int) -> int {{ return forever(n + 1); }}");
+    let vm = vm_for(&src, OptLevel::O4, BackendKind::Sequential);
+    match vm.run("forever", &[Word::from_scalar(0)]) {
+        Err(VmError::Trap(msg)) => assert!(msg.contains("call stack overflow"), "{msg}"),
+        other => panic!("expected a trap, got {other:?}"),
+    }
+    // The VM runs normally after the trap.
+    assert_eq!(run_scalar(&vm, "fib", &[10]), 55);
+}
+
+#[test]
+fn a_run_after_a_panicking_run_starts_from_a_clean_stack() {
+    // A stale reference panics inside the heap in the middle of a call;
+    // the frames it leaves behind must not leak into the next run.
+    const SRC: &str = "
+        class C { var x: int; }
+        fn make() -> C { return new C(); }
+        fn read(c: C) -> int { return c.x; }
+        fn outer(c: C) -> int { return read(c) + 1; }
+    ";
+    let vm = vm_for(SRC, OptLevel::O4, BackendKind::Sequential);
+    let stale = vm.run("make", &[]).unwrap().unwrap();
+    vm.heap().collect(&omt_heap::RootSet::new(), &[]);
+    let panicked =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| vm.run("outer", &[stale])));
+    assert!(panicked.is_err(), "a collected object must not be readable");
+    let live = vm.run("make", &[]).unwrap().unwrap();
+    assert_eq!(vm.run("outer", &[live]).unwrap().unwrap().as_scalar(), Some(1));
+}

@@ -259,3 +259,31 @@ fn in_flight_writer_forces_fallback_and_fails_validation() {
     assert_eq!(stm.atomically(|tx| tx.read(hot, 0)).as_scalar().unwrap(), 0);
     assert_eq!(stm.stats().snapshot_read_hits, 1, "only the post-abort audit read hits");
 }
+
+/// Two `Stm`s on one heap keep separate commit clocks. A version the
+/// first stamped can lie ahead of the second's clock; a snapshot read
+/// in the second must raise its clock to that version and extend, not
+/// spin on an extension that never covers it. The read runs on its
+/// own thread and reports through a channel, so a regression fails
+/// here within seconds instead of hanging the suite.
+#[test]
+fn a_version_stamped_by_another_stm_is_raised_into_the_clock() {
+    let heap = Arc::new(Heap::new());
+    let class = heap.define_class(ClassDesc::with_var_fields("Cell", &["v"]));
+    let cell = heap.alloc(class).unwrap();
+    let writer = Stm::new(heap.clone());
+    writer.atomically(|tx| tx.write(cell, 0, Word::from_scalar(5)));
+
+    let reader = Stm::with_config(heap, snapshot_config());
+    let (done, watchdog) = mpsc::channel();
+    thread::spawn(move || {
+        let value = reader.atomically(|tx| tx.read(cell, 0));
+        let _ = done.send((value, reader.stats().ts_extensions, reader.commit_clock()));
+    });
+    let (value, extensions, clock) = watchdog
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("the snapshot read never returned: its extension cannot cover the version");
+    assert_eq!(value.as_scalar(), Some(5));
+    assert_eq!(extensions, 1, "one raise, one extension");
+    assert!(clock >= 1, "the reader's clock was raised to the foreign version");
+}
